@@ -1,14 +1,19 @@
 // E9: linear-algebra kernel micro-benchmarks (google-benchmark).
 //
-// The shapes mirror the hot paths: thin SVD of the d x (p+1) update matrix,
-// symmetric eigensolve for the merge/baseline paths, QR re-orthogonalization
-// hygiene, and the mat-vec kernels inside residual computation.
+// The shapes mirror the hot paths: the low-rank eigensystem update (basis
+// projection plus a small core SVD) for single tuples and micro-batches,
+// thin SVD of tall matrices (merges, init batch), symmetric eigensolve for
+// the merge/baseline paths, QR re-orthogonalization hygiene, and the
+// mat-vec kernels inside residual computation.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "linalg/eigen_sym.h"
 #include "linalg/qr.h"
 #include "linalg/svd.h"
+#include "pca/incremental_pca.h"
 #include "stats/rng.h"
 
 using namespace astro;
@@ -33,20 +38,40 @@ BENCHMARK(BM_SvdLeft_TallSkinny)
     ->Args({2000, 11})
     ->Args({2000, 21});
 
-void BM_SvdLeft_Threads(benchmark::State& state) {
-  // The paper's future-work item: multithreaded SVD for high-dimensional
-  // streams.  (On a single-core host the tournament schedule only adds
-  // thread overhead; on real multicore nodes the wide merge stacks win.)
-  const auto threads = unsigned(state.range(0));
-  stats::Rng rng(7);
-  const linalg::Matrix a = rng.gaussian_matrix(2000, 21);
-  linalg::SvdOptions opts;
-  opts.threads = threads;
+void BM_LowRankUpdate(benchmark::State& state) {
+  // One eigensystem update at (d, k, b): b fresh columns blended into a
+  // rank-k basis.  Restaging the fresh rows each iteration (the kernel
+  // overwrites them with their residual directions) is part of the cost,
+  // as it is for the engines.
+  const auto d = std::size_t(state.range(0));
+  const auto k = std::size_t(state.range(1));
+  const auto b = std::size_t(state.range(2));
+  stats::Rng rng(5);
+  linalg::Matrix basis = rng.gaussian_matrix(d, k);
+  linalg::orthonormalize_columns(basis);
+  linalg::Vector lambda(k);
+  for (std::size_t c = 0; c < k; ++c) lambda[c] = 2.0 / double(c + 1);
+  const linalg::Matrix fresh = rng.gaussian_matrix(b, d);
+  pca::UpdateWorkspace ws;
+  ws.ensure(d, k + b);
+  linalg::Matrix e_out;
+  linalg::Vector l_out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::svd_left(a, opts));
+    ws.a.resize_no_shrink(k + b, d);
+    std::copy(fresh.data(), fresh.data() + b * d, ws.a.row_span(k).data());
+    pca::low_rank_update_batch(basis, lambda, 0.99, b, k, ws, e_out, l_out);
+    benchmark::DoNotOptimize(e_out.data());
+    benchmark::DoNotOptimize(l_out.data());
+    benchmark::ClobberMemory();
   }
+  state.SetLabel(std::to_string(d) + "x" + std::to_string(k) + "+" +
+                 std::to_string(b));
 }
-BENCHMARK(BM_SvdLeft_Threads)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_LowRankUpdate)
+    ->Args({250, 10, 1})
+    ->Args({250, 10, 8})
+    ->Args({64, 7, 8})
+    ->Args({2000, 10, 1});
 
 void BM_SvdFull(benchmark::State& state) {
   const auto d = std::size_t(state.range(0));

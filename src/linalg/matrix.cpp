@@ -152,48 +152,6 @@ void Matrix::transpose_times_into(const Vector& v, Vector& out) const {
   }
 }
 
-void Matrix::transpose_times_into(const Matrix& rhs, Matrix& out) const {
-  if (rows_ != rhs.rows_) {
-    throw std::invalid_argument("transpose_times: dimension mismatch");
-  }
-  out.resize_no_shrink(cols_, rhs.cols_);
-  out.fill(0.0);
-  // Row-streaming like the vector form: each shared row index r contributes
-  // the outer product a_r b_r^T, reading both operands contiguously; per
-  // output entry the terms arrive in increasing r, matching the naive
-  // column-dot-column product bit for bit.
-  const simd::Kernels& kn = simd::active();
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* arow = data_.data() + r * cols_;
-    const double* brow = rhs.data_.data() + r * rhs.cols_;
-    for (std::size_t i = 0; i < cols_; ++i) {
-      const double ai = arow[i];
-      double* orow = out.data_.data() + i * rhs.cols_;
-      kn.axpy(orow, brow, ai, rhs.cols_);
-    }
-  }
-}
-
-void Matrix::set_col_diff_scaled(std::size_t c, const Vector& x,
-                                 const Vector& mu, double scale) noexcept {
-  for (std::size_t r = 0; r < rows_; ++r) {
-    data_[r * cols_ + c] = scale * (x[r] - mu[r]);
-  }
-}
-
-void Matrix::scale_col(std::size_t c, double s) noexcept {
-  for (std::size_t r = 0; r < rows_; ++r) data_[r * cols_ + c] *= s;
-}
-
-double Matrix::col_squared_norm(std::size_t c) const noexcept {
-  double acc = 0.0;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double x = data_[r * cols_ + c];
-    acc += x * x;
-  }
-  return acc;
-}
-
 Matrix Matrix::gram() const {
   Matrix out;
   gram_into(out);

@@ -2,11 +2,12 @@
 
 // Dense row-major double-precision matrix.
 //
-// Sized for the paper's workloads: the per-tuple low-rank update decomposes
-// a d x (p+1) matrix (d up to 2000, p ~ 5-20); merges stack a handful of
+// Sized for the paper's workloads: the per-tuple low-rank update rotates a
+// d x p basis (d up to 2000, p ~ 5-20); merges stack a handful of
 // eigensystems; baselines eigendecompose d x d covariances for modest d.
-// Row-major keeps row extraction (one observation) contiguous; column
-// operations are provided explicitly where the SVD needs them.
+// Row-major keeps row extraction (one observation) contiguous; kernels
+// that stream over columns (the SVD, the low-rank update) keep their own
+// column-major copies.
 
 #include <cstddef>
 #include <initializer_list>
@@ -81,22 +82,6 @@ class Matrix {
   void multiply_into(const Matrix& rhs, Matrix& out) const;
   void transpose_times_into(const Vector& v, Vector& out) const;
   void gram_into(Matrix& out) const;
-
-  /// this^T * rhs without materializing the transpose (the block form of
-  /// transpose_times_into — the batched coefficient/gram kernel).  `out` is
-  /// resized no-shrink to cols() x rhs.cols(); must not alias the inputs.
-  void transpose_times_into(const Matrix& rhs, Matrix& out) const;
-
-  /// Column kernels for the micro-batched A-matrix assembly: write column
-  /// `c` as scale * (x - mu) in one pass (the batched center kernel — the
-  /// observation lands centered in its A column with no intermediate
-  /// vector), and rescale a column in place (fresh weights are only known
-  /// once the whole batch's blending coefficients exist).
-  void set_col_diff_scaled(std::size_t c, const Vector& x, const Vector& mu,
-                           double scale) noexcept;
-  void scale_col(std::size_t c, double s) noexcept;
-  /// Squared Euclidean norm of column `c`.
-  [[nodiscard]] double col_squared_norm(std::size_t c) const noexcept;
 
   /// Resize preserving capacity (see Vector::resize_no_shrink).  Entries
   /// are NOT re-zeroed when shrinking or reshaping within capacity — the

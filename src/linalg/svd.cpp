@@ -3,12 +3,9 @@
 #include "linalg/simd.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <numeric>
-#include <thread>
-#include <utility>
 #include <stdexcept>
+#include <utility>
 
 namespace astro::linalg {
 
@@ -87,64 +84,6 @@ bool rotate_pair(const ColView& w, std::vector<double>* v, double* norms2,
   return true;
 }
 
-// One sweep in round-robin tournament order: n-1 rounds of ~n/2 disjoint
-// pairs.  Pairs within a round share no columns — and therefore no norms2
-// entries — so threads can rotate them concurrently without synchronization
-// beyond the round barrier.
-bool tournament_sweep(const ColView& w, std::vector<double>* v, double* norms2,
-                      const SvdOptions& opts) {
-  const std::size_t n = w.n;
-  // Classic circle method; odd n gets a dummy entry (a bye) so every pair
-  // appears exactly once across the M-1 rounds.
-  constexpr std::size_t kBye = std::size_t(-1);
-  const std::size_t m_ring = n + (n % 2);
-  std::vector<std::size_t> ring(m_ring, kBye);
-  std::iota(ring.begin(), ring.begin() + std::ptrdiff_t(n), 0);
-  std::atomic<bool> rotated{false};
-
-  for (std::size_t round = 0; round + 1 < m_ring; ++round) {
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    pairs.reserve(m_ring / 2);
-    for (std::size_t k = 0; k < m_ring / 2; ++k) {
-      std::size_t a = ring[k];
-      std::size_t b = ring[m_ring - 1 - k];
-      if (a == kBye || b == kBye) continue;
-      if (a > b) std::swap(a, b);
-      pairs.emplace_back(a, b);
-    }
-
-    const unsigned workers =
-        std::min<unsigned>(opts.threads, unsigned(pairs.size()));
-    if (workers <= 1) {
-      for (const auto& [a, b] : pairs) {
-        if (rotate_pair(w, v, norms2, a, b, opts.tol)) {
-          rotated.store(true, std::memory_order_relaxed);
-        }
-      }
-    } else {
-      std::atomic<std::size_t> next{0};
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (unsigned t = 0; t < workers; ++t) {
-        pool.emplace_back([&] {
-          for (std::size_t idx = next.fetch_add(1); idx < pairs.size();
-               idx = next.fetch_add(1)) {
-            if (rotate_pair(w, v, norms2, pairs[idx].first, pairs[idx].second,
-                            opts.tol)) {
-              rotated.store(true, std::memory_order_relaxed);
-            }
-          }
-        });
-      }
-      for (auto& th : pool) th.join();
-    }
-
-    // Advance the ring (element 0 stays, the rest rotate by one).
-    std::rotate(ring.begin() + 1, ring.begin() + 2, ring.end());
-  }
-  return rotated.load(std::memory_order_relaxed);
-}
-
 // One-sided Jacobi: orthogonalize the columns of `w` in place, accumulating
 // the right rotations into `v` (n x n, column-major) when non-null.
 // Returns the number of sweeps executed.
@@ -164,13 +103,9 @@ int jacobi_orthogonalize(const ColView& w, std::vector<double>* v,
       norms2[c] = dot8(col, col, m);
     }
     bool rotated = false;
-    if (opts.threads > 1 && n >= 4) {
-      rotated = tournament_sweep(w, v, norms2, opts);
-    } else {
-      for (std::size_t i = 0; i + 1 < n; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j) {
-          rotated |= rotate_pair(w, v, norms2, i, j, opts.tol);
-        }
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        rotated |= rotate_pair(w, v, norms2, i, j, opts.tol);
       }
     }
     if (!rotated) break;

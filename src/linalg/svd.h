@@ -2,12 +2,13 @@
 
 // Thin singular-value decomposition via one-sided Jacobi rotations.
 //
-// This is the workhorse of the incremental PCA update (paper eq. 1-3): each
-// incoming tuple requires the SVD of a tall-skinny d x (p+1) matrix A whose
-// columns are the scaled current eigenvectors plus the new residual
-// direction.  One-sided Jacobi orthogonalizes *columns* pairwise, costing
-// O(d k^2) per sweep for k columns — ideal for k = p+1 << d — and is
+// One-sided Jacobi orthogonalizes *columns* pairwise, costing O(m n^2) per
+// sweep for an m x n input — cheap for few columns — and is
 // backward-stable without forming A^T A explicitly at working precision.
+// The incremental PCA update (paper eq. 1-3) uses it only on its small
+// (p+b) x (p+b) core, after projecting the fresh directions onto the basis
+// (pca/incremental_pca.h); merges, the init batch and the baselines
+// decompose their tall matrices with it directly.
 //
 // Two entry styles share one kernel:
 //   - svd()/svd_left(): value-returning, allocate their results — fine for
@@ -46,17 +47,6 @@ struct SvdOptions {
   double tol = 1e-12;
   /// Safety bound on Jacobi sweeps; convergence is typically < 10 sweeps.
   int max_sweeps = 60;
-  /// Worker threads for the rotation sweeps.  One-sided Jacobi
-  /// parallelizes cleanly: a round-robin tournament schedule partitions
-  /// each sweep into rounds of disjoint column pairs, and pairs within a
-  /// round touch disjoint columns — the paper's closing suggestion that
-  /// "higher-dimensional data processing performance can be improved by
-  /// using a multithreaded SVD processing algorithm".  1 = sequential
-  /// cyclic sweep (default; the per-tuple matrices are small enough that
-  /// threads only pay off for wide merge stacks at large d).  The threaded
-  /// schedule allocates per sweep — the allocation-free guarantee holds
-  /// for the default sequential path only.
-  unsigned threads = 1;
 };
 
 /// Caller-owned scratch for the in-place kernel.  Buffers grow to the
@@ -95,8 +85,8 @@ struct ThinUView {
 [[nodiscard]] SvdResult svd(const Matrix& a, const SvdOptions& opts = {});
 
 /// Convenience: only U and the singular values (V is never accumulated,
-/// saving O(n^2) work per rotation).  This is what the PCA update uses —
-/// the eigensystem needs only the left singular vectors and values.
+/// saving O(n^2) work per rotation).  This is what the PCA code uses —
+/// an eigensystem needs only the left singular vectors and values.
 struct ThinUResult {
   Matrix u;
   Vector singular_values;
@@ -106,9 +96,9 @@ struct ThinUResult {
 /// Hot-path form of svd_left(): runs the Jacobi sweeps on the workspace's
 /// persistent column-major scratch and writes U / s into the caller's
 /// preallocated storage.  Zero heap allocations at steady state for tall
-/// inputs (m >= n) on the sequential path; a wide input (m < n) falls back
-/// to the allocating full decomposition (never the case on the per-tuple
-/// path, where m = d >> n = p+1).
+/// and square inputs (m >= n); a wide input (m < n) falls back to the
+/// allocating full decomposition (never the case on the per-tuple path,
+/// whose core is square).
 void svd_left_inplace(const Matrix& a, SvdWorkspace& workspace, ThinUView out,
                       const SvdOptions& opts = {});
 

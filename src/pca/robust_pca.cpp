@@ -161,7 +161,7 @@ void RobustIncrementalPca::observe_batch(const linalg::Vector* const* xs,
   const std::size_t full = config_.rank + config_.extra_rank;
   const std::size_t d = config_.dim;
   ws_.ensure(d, full + b);
-  ws_.a.resize_no_shrink(d, full + b);
+  ws_.a.resize_no_shrink(full + b, d);
 
   // Pass 1 — the sequential steps 2-6 and 9 of update() per tuple, with one
   // difference: the basis every residual (and therefore every weight and
@@ -223,7 +223,8 @@ void RobustIncrementalPca::observe_batch(const linalg::Vector* const* xs,
     // leave C untouched sequentially, which the batch reproduces by
     // treating their history coefficient as exactly 1.
     if (g.g2 < 1.0 && r2 > kTinyResidual) {
-      ws_.a.set_col_diff_scaled(full + applied, x, mean, 1.0);
+      const auto f = ws_.a.row_span(full + applied);
+      for (std::size_t r = 0; r < d; ++r) f[r] = x[r] - mean[r];
       ws_.batch_gammas[applied] = g.g2;
       ws_.batch_weights[applied] = (1.0 - g.g2) * system_.sigma2() / r2;
       ++applied;
@@ -233,25 +234,23 @@ void RobustIncrementalPca::observe_batch(const linalg::Vector* const* xs,
     reports[j + i] = rep;
   }
 
-  // Pass 2 — price the accepted columns by the unrolled recursion
+  // Pass 2 — price the accepted rows by the unrolled recursion
   //   C_b = (∏γ̂_i) C_0 + Σ_j fresh_j (∏_{i>j} γ̂_i) y_j y_jᵀ
   // and decompose once.  applied == 0 (every tuple rejected/skipped) means
   // C is untouched: no SVD at all, again matching the sequential path.
-  // Rejected tuples leave their reserved columns unused; they are zeroed
-  // rather than the matrix reshaped (a row-major resize would scramble the
-  // staged columns), and zero columns pass through the SVD inert.
+  // Rejected tuples staged nothing, so only the `applied` leading fresh
+  // rows enter the update.
   if (applied > 0) {
     double suffix = 1.0;
     for (std::size_t i = applied; i-- > 0;) {
-      const double w = ws_.batch_weights[i] * suffix;
-      ws_.a.scale_col(full + i, std::sqrt(std::max(0.0, w)));
+      const double w =
+          std::sqrt(std::max(0.0, ws_.batch_weights[i] * suffix));
+      for (double& v : ws_.a.row_span(full + i)) v *= w;
       suffix *= ws_.batch_gammas[i];
     }
-    for (std::size_t i = applied; i < b; ++i) {
-      for (std::size_t r = 0; r < d; ++r) ws_.a(r, full + i) = 0.0;
-    }
-    low_rank_update_batch(system_.basis(), system_.eigenvalues(), suffix, b,
-                          system_.rank(), ws_, system_.mutable_basis(),
+    low_rank_update_batch(system_.basis(), system_.eigenvalues(), suffix,
+                          applied, system_.rank(), ws_,
+                          system_.mutable_basis(),
                           system_.mutable_eigenvalues());
   }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "stream/graph.h"
 #include "stream/sink.h"
@@ -26,12 +28,17 @@ struct SplitHarness {
   SplitOperator* split = nullptr;
   std::vector<CollectorSink<DataTuple>*> sinks;
 
+  // `capacity` sizes every output channel.  A full output makes the split
+  // reroute to the least-loaded queue by design, so the strategy tests size
+  // them to hold the whole stream: a descheduled sink must not turn a
+  // balance check into a measurement of the scheduler.
   SplitHarness(std::size_t n_tuples, std::size_t n_outputs,
-               SplitStrategy strategy, std::size_t workers = 1) {
+               SplitStrategy strategy, std::size_t workers = 1,
+               std::size_t capacity = 64) {
     auto in = make_channel<DataTuple>(64);
     std::vector<ChannelPtr<DataTuple>> outs;
     for (std::size_t i = 0; i < n_outputs; ++i) {
-      outs.push_back(make_channel<DataTuple>(64));
+      outs.push_back(make_channel<DataTuple>(capacity));
     }
     graph.add<ReplaySource>("source", tiny_data(n_tuples), in);
     split = graph.add<SplitOperator>("split", in, outs, strategy, workers);
@@ -51,6 +58,41 @@ struct SplitHarness {
     for (const auto* s : sinks) total += s->count();
     return total;
   }
+};
+
+// One consumer that drains every output in turn, so the queues empty at a
+// single pace: a descheduled consumer stalls every target alike instead of
+// starving one, and per-target counts measure the split's tie-breaking
+// rather than the scheduler.
+class SharedDrain final : public Operator {
+ public:
+  SharedDrain(std::string name, std::vector<ChannelPtr<DataTuple>> ins)
+      : Operator(std::move(name)), ins_(std::move(ins)), counts_(ins_.size()) {}
+
+  /// Tuples taken from output `i`; read after the graph has finished.
+  [[nodiscard]] std::size_t count(std::size_t i) const { return counts_[i]; }
+
+ protected:
+  void run() override {
+    DataTuple t;
+    bool open = true;
+    while (open) {
+      open = false;
+      bool popped = false;
+      for (std::size_t i = 0; i < ins_.size(); ++i) {
+        if (ins_[i]->pop_for(t, std::chrono::microseconds(0))) {
+          ++counts_[i];
+          popped = true;
+        }
+        open = open || !ins_[i]->closed() || ins_[i]->size() > 0;
+      }
+      if (!popped) std::this_thread::yield();
+    }
+  }
+
+ private:
+  std::vector<ChannelPtr<DataTuple>> ins_;
+  std::vector<std::size_t> counts_;
 };
 
 TEST(Split, NoOutputsThrows) {
@@ -74,13 +116,13 @@ TEST(Split, AllTuplesDeliveredExactlyOnce) {
 }
 
 TEST(Split, RoundRobinIsBalanced) {
-  SplitHarness h(400, 4, SplitStrategy::kRoundRobin);
+  SplitHarness h(400, 4, SplitStrategy::kRoundRobin, 1, 400);
   h.run();
   for (const auto* s : h.sinks) EXPECT_EQ(s->count(), 100u);
 }
 
 TEST(Split, RandomIsApproximatelyBalanced) {
-  SplitHarness h(4000, 4, SplitStrategy::kRandom);
+  SplitHarness h(4000, 4, SplitStrategy::kRandom, 1, 4000);
   h.run();
   for (const auto* s : h.sinks) {
     EXPECT_GT(s->count(), 800u);
@@ -99,17 +141,27 @@ TEST(Split, LeastLoadedRotatesTieBreaks) {
   // least-loaded scan almost always sees a tie — and the old scan started
   // at index 0 every time, funnelling essentially the whole stream to
   // target 0.  The rotating start offset must spread ties across targets.
-  SplitHarness h(900, 3, SplitStrategy::kLeastLoaded);
-  h.run();
-  EXPECT_EQ(h.total_received(), 900u);
-  const auto counts = h.split->per_target_counts();
+  // One shared consumer keeps the queues level; with a consumer per target,
+  // a descheduled one starves its target whatever the tie-break does.
+  FlowGraph graph;
+  auto in = make_channel<DataTuple>(64);
+  std::vector<ChannelPtr<DataTuple>> outs;
+  for (std::size_t i = 0; i < 3; ++i) outs.push_back(make_channel<DataTuple>(64));
+  graph.add<ReplaySource>("source", tiny_data(900), in);
+  auto* split = graph.add<SplitOperator>("split", in, outs,
+                                         SplitStrategy::kLeastLoaded);
+  auto* drain = graph.add<SharedDrain>("drain", outs);
+  graph.start();
+  graph.wait();
+  EXPECT_EQ(drain->count(0) + drain->count(1) + drain->count(2), 900u);
+  const auto counts = split->per_target_counts();
   ASSERT_EQ(counts.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     // Strictly-least-loaded still biases under racing drains, so only pin
     // what the bug broke: no target may starve (old code left targets 1 and
     // 2 with a handful of reroutes) and the counts must reconcile.
     EXPECT_GT(counts[i], 150u) << "target " << i << " starved";
-    EXPECT_EQ(counts[i], h.sinks[i]->count());
+    EXPECT_EQ(counts[i], drain->count(i));
   }
   EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0ull), 900ull);
 }
