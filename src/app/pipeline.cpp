@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 
@@ -131,124 +132,55 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
              : stream::MetricsRegistry::Extras{},
       this);
 
-  // Optional transport stage (DESIGN.md "Transport"): the source's output
-  // crosses a real socket before it reaches validate/split.  The server is
-  // constructed first (it binds in its constructor, so the sink's connect
-  // retries always have a listener to find) and serves sessions until the
-  // sink's kBye ends the stream.
-  if (config.transport.enabled &&
-      config.transport.kind == PipelineConfig::TransportOptions::Kind::kShm) {
-    // Same-host shared-memory leg: the sink creates the ring segment in
-    // its constructor, the server's run loop polls until it appears.  The
-    // slot geometry is raised to fit a dim-sized tuple frame so the
-    // default options never silently truncate.
+  // Optional transport stage (DESIGN.md "Transport"): the source's
+  // output crosses a real session boundary before it reaches
+  // validate/split.  Only the endpoints' construction is per medium.
+  if (config.transport.enabled) {
     transport_out_ = make_named_channel<DataTuple>(
         "chan.downlink->" + ingest_stage, config.channel_capacity);
-    stream::ShmTransportOptions shm_opts = config.transport.shm;
-    if (config.pca.dim > 0) {
-      const std::size_t d = config.pca.dim;
-      const std::size_t frame_need = io::kFrameHeaderBytes +
-                                     io::kTuplePayloadFixed + d * 8 +
-                                     (d + 7) / 8;
-      if (shm_opts.max_frame_bytes < frame_need) {
-        shm_opts.max_frame_bytes = frame_need;
+    if (config.transport.kind ==
+        PipelineConfig::TransportOptions::Kind::kShm) {
+      // Same-host ring: the sink creates the segment in its constructor,
+      // the server's run loop polls until it appears.  The slot geometry is
+      // raised to fit a dim-sized tuple frame so the default options never
+      // silently truncate.
+      stream::ShmTransportOptions shm_opts = config.transport.shm;
+      if (config.pca.dim > 0) {
+        const std::size_t d = config.pca.dim;
+        const std::size_t frame_need = io::kFrameHeaderBytes +
+                                       io::kTuplePayloadFixed + d * 8 +
+                                       (d + 7) / 8;
+        shm_opts.max_frame_bytes = std::max(shm_opts.max_frame_bytes,
+                                            frame_need);
       }
+      std::string segment = config.transport.shm_segment;
+      if (segment.empty()) segment = auto_shm_segment();
+      downlink_ = graph_.add<stream::ShmTupleServer>(
+          "downlink", segment, transport_out_, shm_opts);
+      uplink_ = graph_.add<stream::ShmTupleSink>("uplink", segment,
+                                                 source_out, shm_opts);
+    } else {
+      // The server binds in its constructor, so the sink's connect retries
+      // always have a listener to find; it serves sessions until the sink's
+      // kBye ends the stream.
+      stream::TcpServerOptions server_opts;
+      server_opts.ack_every = config.transport.ack_every;
+      server_opts.exit_on_bye = true;
+      auto* server = graph_.add<stream::TcpTupleServer>(
+          "downlink", config.transport.port, transport_out_,
+          /*max_connections=*/0, server_opts);
+      downlink_ = server;
+      uplink_ = graph_.add<stream::TcpTupleSink>(
+          "uplink", server->port(), source_out, config.transport.tcp);
     }
-    std::string segment = config.transport.shm_segment;
-    if (segment.empty()) segment = auto_shm_segment();
-    shm_downlink_ = graph_.add<stream::ShmTupleServer>(
-        "downlink", segment, transport_out_, shm_opts);
-    shm_downlink_->set_arena(arena_.get());
-    shm_uplink_ = graph_.add<stream::ShmTupleSink>("uplink", segment,
-                                                   source_out, shm_opts);
-    shm_uplink_->set_arena(arena_.get());
+    downlink_->set_arena(arena_.get());
+    uplink_->set_arena(arena_.get());
     registry_.add_operator(
-        "uplink", &shm_uplink_->metrics(),
-        [s = shm_uplink_] {
-          const stream::ShmSinkCounters c = s->counters();
-          return std::vector<std::pair<std::string, double>>{
-              {"accepted", double(c.accepted)},
-              {"acked", double(c.acked)},
-              {"lossy_dropped", double(c.lossy_dropped)},
-              {"frames_committed", double(c.frames_committed)},
-              {"oversize_dropped", double(c.oversize_dropped)},
-              {"ring_depth", double(c.ring_depth)},
-              {"blocked_waits", double(c.blocked_waits)},
-              {"wraps", double(c.wraps)},
-              {"consumer_generations", double(c.consumer_generations)},
-              {"degraded", c.degraded ? 1.0 : 0.0}};
-        },
-        this);
-    registry_.add_operator(
-        "downlink", &shm_downlink_->metrics(),
-        [s = shm_downlink_] {
-          const stream::ShmServerCounters c = s->counters();
-          return std::vector<std::pair<std::string, double>>{
-              {"delivered", double(c.delivered)},
-              {"duplicates", double(c.duplicates)},
-              {"crc_rejects", double(c.crc_rejects)},
-              {"payload_rejects", double(c.payload_rejects)},
-              {"protocol_errors", double(c.protocol_errors)},
-              {"quarantined", double(c.quarantined)},
-              {"sessions", double(c.sessions)},
-              {"resumes", double(c.resumes)},
-              {"byes", double(c.byes)},
-              {"producer_deaths", double(c.producer_deaths)},
-              {"dead_letters", double(c.dead_letters)},
-              {"dead_letter_overflow", double(c.dead_letter_overflow)}};
-        },
-        this);
-  } else if (config.transport.enabled) {
-    transport_out_ = make_named_channel<DataTuple>(
-        "chan.downlink->" + ingest_stage, config.channel_capacity);
-    stream::TcpServerOptions server_opts;
-    server_opts.ack_every = config.transport.ack_every;
-    server_opts.exit_on_bye = true;
-    downlink_ = graph_.add<stream::TcpTupleServer>(
-        "downlink", config.transport.port, transport_out_,
-        /*max_connections=*/0, server_opts);
-    uplink_ = graph_.add<stream::TcpTupleSink>("uplink", downlink_->port(),
-                                               source_out,
-                                               config.transport.tcp);
-    registry_.add_operator(
-        "uplink", &uplink_->metrics(),
-        [s = uplink_] {
-          const stream::TcpSinkCounters c = s->counters();
-          return std::vector<std::pair<std::string, double>>{
-              {"accepted", double(c.accepted)},
-              {"acked", double(c.acked)},
-              {"lossy_dropped", double(c.lossy_dropped)},
-              {"frames_sent", double(c.frames_sent)},
-              {"retransmits", double(c.retransmits)},
-              {"sessions", double(c.sessions)},
-              {"reconnects", double(c.reconnects)},
-              {"connect_failures", double(c.connect_failures)},
-              {"acks_received", double(c.acks_received)},
-              {"outages", double(c.outages)},
-              {"backoff_ms_last", double(c.backoff_ms_last)},
-              {"window_depth", double(c.window_depth)},
-              {"degraded", c.degraded ? 1.0 : 0.0}};
-        },
+        "uplink", &uplink_->metrics(), [s = uplink_] { return s->extras(); },
         this);
     registry_.add_operator(
         "downlink", &downlink_->metrics(),
-        [s = downlink_] {
-          const stream::TcpServerCounters c = s->counters();
-          return std::vector<std::pair<std::string, double>>{
-              {"delivered", double(c.delivered)},
-              {"duplicates", double(c.duplicates)},
-              {"out_of_order", double(c.out_of_order)},
-              {"crc_rejects", double(c.crc_rejects)},
-              {"payload_rejects", double(c.payload_rejects)},
-              {"protocol_errors", double(c.protocol_errors)},
-              {"acks_sent", double(c.acks_sent)},
-              {"sessions", double(c.sessions)},
-              {"resumes", double(c.resumes)},
-              {"byes", double(c.byes)},
-              {"dead_letters", double(c.dead_letters)},
-              {"dead_letter_overflow", double(c.dead_letter_overflow)}};
-        },
-        this);
+        [s = downlink_] { return s->extras(); }, this);
   }
 
   stream::ChannelPtr<DataTuple> split_in =
@@ -263,9 +195,6 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
     // the telescope.
     if (downlink_ != nullptr) {
       downlink_->set_dead_letters(dead_letter_channel_);
-    }
-    if (shm_downlink_ != nullptr) {
-      shm_downlink_->set_dead_letters(dead_letter_channel_);
     }
     spectra::ValidationPolicy policy = config.validation;
     if (policy.expected_dim == 0) policy.expected_dim = config.pca.dim;
@@ -417,8 +346,10 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
   }
 
   if (config.sync_rate_hz > 0.0 && n > 1) {
+    // Depth 1: the controller is paced by the throttle instead of running
+    // ahead of it, so `rounds` counts rounds handed off, not a backlog.
     control_raw_ =
-        make_named_channel<ControlTuple>("chan.controller->throttle", 256);
+        make_named_channel<ControlTuple>("chan.controller->throttle", 1);
     auto throttled =
         make_named_channel<ControlTuple>("chan.throttle->router", 256);
     controller_ = graph_.add<sync::SyncController>(
@@ -527,31 +458,21 @@ void StreamingPcaPipeline::wait() {
   // subsystem is shut down, so stop it once the data plane has finished.
   source_->join();
   if (uplink_ != nullptr) {
-    // The sink flushes (waits for the receiver's final cumulative ack, or
+    // The sink flushes (waits for the receiver to confirm everything, or
     // counts what a dead receiver never confirmed) before exiting, so after
     // this join every surviving tuple has been pushed past the server.  The
-    // server normally exits on the sink's kBye; a sink that gave up never
-    // sends one, so nudge it.
+    // server normally exits on the sink's bye; a sink that gave up or
+    // crashed never sends one, so nudge it.
     uplink_->join();
     downlink_->request_stop();
     downlink_->join();
-  }
-  if (shm_uplink_ != nullptr) {
-    // Same contract over the ring: the sink's flush waits for the durable
-    // tail (or counts the unconfirmed suffix lossy) and marks bye; the
-    // server normally exits on that bye — nudge it in case the sink
-    // crashed before setting it.
-    shm_uplink_->join();
-    shm_downlink_->request_stop();
-    shm_downlink_->join();
   }
   split_->join();
   if (controller_ != nullptr) {
     controller_->request_stop();
     control_raw_->close();  // unblocks a controller mid-push
-    // Stop the throttle too: it would otherwise drain the controller's
-    // queued rounds at the throttled pace, stretching shutdown by
-    // backlog/rate seconds.
+    // Wakes the throttle's pacing wait: the round it holds is moot once the
+    // data plane has drained.
     sync_throttle_->request_stop();
   }
   // The supervisor exits once every engine reaches kCompleted; joining it

@@ -253,26 +253,24 @@ class StreamingPcaPipeline {
   [[nodiscard]] serve::SnapshotServer* serve_server() const noexcept {
     return serve_server_.get();
   }
-  /// Transport endpoints (nullptr unless config.transport.enabled).  Their
-  /// counters expose the session protocol's full state: reconnects,
-  /// retransmits, CRC rejects, acks, backoff, degraded flag.
+  /// Transport endpoints, downcast to their medium (nullptr unless
+  /// config.transport.enabled with that kind).  Their counters expose the
+  /// session state: acks, retransmits, CRC rejects, ring depth, blocked
+  /// waits, quarantines, resume/bye accounting, degraded flag.
   [[nodiscard]] const stream::TcpTupleSink* transport_uplink() const noexcept {
-    return uplink_;
+    return dynamic_cast<const stream::TcpTupleSink*>(uplink_);
   }
   [[nodiscard]] const stream::TcpTupleServer* transport_downlink()
       const noexcept {
-    return downlink_;
+    return dynamic_cast<const stream::TcpTupleServer*>(downlink_);
   }
-  /// Shm transport endpoints (nullptr unless transport.enabled with
-  /// kind == kShm).  Counters expose ring depth, blocked waits, wraps,
-  /// quarantines, resume/bye accounting.
   [[nodiscard]] const stream::ShmTupleSink* transport_shm_uplink()
       const noexcept {
-    return shm_uplink_;
+    return dynamic_cast<const stream::ShmTupleSink*>(uplink_);
   }
   [[nodiscard]] const stream::ShmTupleServer* transport_shm_downlink()
       const noexcept {
-    return shm_downlink_;
+    return dynamic_cast<const stream::ShmTupleServer*>(downlink_);
   }
   /// The sync controller (nullptr when synchronization is disabled).
   [[nodiscard]] const sync::SyncController* sync_controller() const noexcept {
@@ -313,10 +311,8 @@ class StreamingPcaPipeline {
   stream::FlowGraph graph_;
   stream::Operator* source_ = nullptr;
   stream::ChannelPtr<stream::DataTuple> source_out_;
-  stream::TcpTupleSink* uplink_ = nullptr;
-  stream::TcpTupleServer* downlink_ = nullptr;
-  stream::ShmTupleSink* shm_uplink_ = nullptr;
-  stream::ShmTupleServer* shm_downlink_ = nullptr;
+  stream::SessionSink* uplink_ = nullptr;
+  stream::SessionServer* downlink_ = nullptr;
   stream::ChannelPtr<stream::DataTuple> transport_out_;
   stream::ValidateOperator* validator_ = nullptr;
   stream::DeadLetterSink* dead_letter_sink_ = nullptr;

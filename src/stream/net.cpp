@@ -12,7 +12,6 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
-#include <thread>
 
 #include "io/frame.h"
 
@@ -65,8 +64,7 @@ TcpTupleServer::TcpTupleServer(std::string name, std::uint16_t port,
                                ChannelPtr<DataTuple> out,
                                std::size_t max_connections,
                                TcpServerOptions options)
-    : Operator(std::move(name)),
-      out_(std::move(out)),
+    : SessionServer(std::move(name), std::move(out)),
       max_connections_(max_connections),
       options_(options) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -97,37 +95,25 @@ TcpTupleServer::~TcpTupleServer() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
-std::uint64_t TcpTupleServer::ack_value() const {
-  if (!applied_watermark_) return applied_;
-  return std::min(applied_, applied_watermark_());
+void TcpTupleServer::init_resume() {
+  if (resume_initialized_) return;
+  applied_ = read_resume_point();
+  resume_initialized_ = true;
 }
 
-bool TcpTupleServer::send_ack(int fd, bool force) {
-  const std::uint64_t value = ack_value();
+bool TcpTupleServer::send_ack(int fd, bool force, io::FrameType type) {
+  const std::uint64_t value = ack_ceiling(applied_);
   if (!force && value <= last_ack_sent_) return true;
-  const auto frame = io::encode_control_frame(io::FrameType::kAck, value);
+  const auto frame = io::encode_control_frame(type, value);
   const auto stopped = [this] { return stop_requested(); };
   if (!write_frame_plain(fd, frame, options_.write_timeout, stopped)) {
     return false;
   }
-  acks_sent_.fetch_add(1, std::memory_order_relaxed);
+  if (type == io::FrameType::kAck) {
+    acks_sent_.fetch_add(1, std::memory_order_relaxed);
+  }
   last_ack_sent_ = std::max(last_ack_sent_, value);
   return true;
-}
-
-void TcpTupleServer::quarantine_frame(std::uint64_t seq) {
-  if (!dlq_) return;
-  // The frame failed its CRC, so nothing in it can be trusted except its
-  // arrival: quarantine a husk carrying the claimed transport seq for
-  // forensics.  Non-blocking — a full DLQ must not stall the receive loop.
-  DeadLetter dl;
-  dl.tuple.seq = seq;
-  dl.reason = spectra::RejectReason::kCorruptFrame;
-  if (dlq_->try_push(dl)) {
-    dead_letters_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    dead_letter_overflow_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 TcpTupleServer::FrameOutcome TcpTupleServer::handle_frame(
@@ -137,31 +123,21 @@ TcpTupleServer::FrameOutcome TcpTupleServer::handle_frame(
       frame + io::kFrameHeaderBytes, frame_bytes - io::kFrameHeaderBytes);
   const auto h = io::decode_frame_header(header);
   if (!h) return FrameOutcome::kConnectionDone;  // caller pre-validated
-  if (!io::verify_frame_crc(header, payload)) {
+  if (!verify_crc(header, payload)) {
     // Damaged in flight.  Never applied, never acked: the sender's window
     // still holds it and replays it on session resume, so a CRC reject
     // costs a retransmit, not a tuple.
-    crc_rejects_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.record_dropped();
-    quarantine_frame(h->seq);
+    dead_letter(h->seq);
     return FrameOutcome::kContinue;
   }
   switch (h->type) {
     case io::FrameType::kHello: {
       sessions_.fetch_add(1, std::memory_order_relaxed);
-      if (!resume_initialized_) {
-        applied_ = resume_point_ ? resume_point_() : 0;
-        resume_initialized_ = true;
-      }
+      init_resume();
       if (applied_ > 0) resumes_.fetch_add(1, std::memory_order_relaxed);
-      const auto reply =
-          io::encode_control_frame(io::FrameType::kHelloAck, ack_value());
-      const auto stopped = [this] { return stop_requested(); };
-      if (!write_frame_plain(fd, reply, options_.write_timeout, stopped)) {
-        return FrameOutcome::kConnectionDone;
-      }
-      last_ack_sent_ = std::max(last_ack_sent_, ack_value());
-      return FrameOutcome::kContinue;
+      return send_ack(fd, /*force=*/true, io::FrameType::kHelloAck)
+                 ? FrameOutcome::kContinue
+                 : FrameOutcome::kConnectionDone;
     }
     case io::FrameType::kBye:
       byes_.fetch_add(1, std::memory_order_relaxed);
@@ -169,10 +145,7 @@ TcpTupleServer::FrameOutcome TcpTupleServer::handle_frame(
       if (options_.exit_on_bye) bye_seen_ = true;
       return FrameOutcome::kConnectionDone;
     case io::FrameType::kTuple: {
-      if (!resume_initialized_) {  // sender skipped HELLO; tolerate
-        applied_ = resume_point_ ? resume_point_() : 0;
-        resume_initialized_ = true;
-      }
+      init_resume();  // a sender that skipped HELLO is tolerated
       metrics_.record_in(frame_bytes);
       if (h->seq <= applied_) {
         // Resume replay of an already-applied frame: discard, but re-ack so
@@ -189,22 +162,11 @@ TcpTupleServer::FrameOutcome TcpTupleServer::handle_frame(
         out_of_order_.fetch_add(1, std::memory_order_relaxed);
         return FrameOutcome::kContinue;
       }
-      auto tuple = io::decode_tuple_payload(payload);
-      if (!tuple) {
-        payload_rejects_.fetch_add(1, std::memory_order_relaxed);
-        metrics_.record_dropped();
-        quarantine_frame(h->seq);
-        return FrameOutcome::kContinue;
-      }
-      const std::size_t bytes = tuple->wire_bytes();
-      if (!out_->push(std::move(*tuple))) {
-        return FrameOutcome::kDownstreamClosed;
-      }
       // Push-before-advance: an acked seq is always at least pushed
-      // downstream (and durably applied when an applied watermark gates).
+      // downstream (and durably applied when an applied watermark gates) —
+      // or quarantined as poison, which no retransmit could heal.
+      if (!deliver(payload, h->seq)) return FrameOutcome::kDownstreamClosed;
       applied_ = h->seq;
-      delivered_.fetch_add(1, std::memory_order_relaxed);
-      metrics_.record_out(bytes);
       if (applied_ - last_ack_sent_ >= options_.ack_every) {
         if (!send_ack(fd, /*force=*/false)) {
           return FrameOutcome::kConnectionDone;
@@ -292,27 +254,23 @@ void TcpTupleServer::run() {
     ::close(fd);
     ++served;
   }
-  out_->close();
+  close_output();
   set_stop_reason(stop_requested() ? StopReason::kRequested
                                    : StopReason::kUpstreamClosed);
 }
 
 TcpServerCounters TcpTupleServer::counters() const noexcept {
   TcpServerCounters c;
-  c.delivered = delivered_.load(std::memory_order_relaxed);
-  c.duplicates = duplicates_.load(std::memory_order_relaxed);
+  fill(c);
   c.out_of_order = out_of_order_.load(std::memory_order_relaxed);
-  c.crc_rejects = crc_rejects_.load(std::memory_order_relaxed);
-  c.payload_rejects = payload_rejects_.load(std::memory_order_relaxed);
-  c.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   c.acks_sent = acks_sent_.load(std::memory_order_relaxed);
-  c.sessions = sessions_.load(std::memory_order_relaxed);
-  c.resumes = resumes_.load(std::memory_order_relaxed);
-  c.byes = byes_.load(std::memory_order_relaxed);
-  c.dead_letters = dead_letters_.load(std::memory_order_relaxed);
-  c.dead_letter_overflow =
-      dead_letter_overflow_.load(std::memory_order_relaxed);
   return c;
+}
+
+void TcpTupleServer::medium_extras(SessionExtras& out) const {
+  const TcpServerCounters c = counters();
+  out.emplace_back("out_of_order", double(c.out_of_order));
+  out.emplace_back("acks_sent", double(c.acks_sent));
 }
 
 // ---------------------------------------------------------------------------
@@ -322,23 +280,13 @@ TcpServerCounters TcpTupleServer::counters() const noexcept {
 TcpTupleSink::TcpTupleSink(std::string name, std::uint16_t port,
                            ChannelPtr<DataTuple> in,
                            TcpTransportOptions options)
-    : Operator(std::move(name)),
+    : SessionSink(std::move(name), std::move(in)),
       port_(port),
-      in_(std::move(in)),
       options_(options) {}
 
 TcpTupleSink::~TcpTupleSink() {
   join();
   if (fd_ >= 0) ::close(fd_);
-}
-
-void TcpTupleSink::stop_aware_sleep(milliseconds d) {
-  const auto deadline = Clock::now() + d;
-  while (!stop_requested() && Clock::now() < deadline) {
-    const auto left = std::chrono::duration_cast<milliseconds>(
-        deadline - Clock::now());
-    std::this_thread::sleep_for(std::min(left, milliseconds(20)));
-  }
 }
 
 milliseconds TcpTupleSink::jittered(milliseconds backoff) {
@@ -366,31 +314,24 @@ void TcpTupleSink::teardown_socket() {
 }
 
 bool TcpTupleSink::try_connect() {
-  if (options_.fault && options_.fault->on_connect_attempt()) {
-    connect_failures_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-  if (fd < 0) {
-    connect_failures_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port_);
-  const int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                           sizeof(addr));
-  if (rc != 0 && errno != EINPROGRESS) {
-    ::close(fd);
-    connect_failures_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  if (rc != 0) {
-    // Await connect completion with a deadline (poll-driven, stop-aware).
+  const bool injected_failure =
+      options_.fault && options_.fault->on_connect_attempt();
+  const int fd =
+      injected_failure ? -1 : ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  bool ok = false;
+  if (fd >= 0) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port_);
+    const int rc =
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+    ok = rc == 0;
+    // Await an in-progress connect with a deadline (poll-driven,
+    // stop-aware).
+    const bool in_progress = rc != 0 && errno == EINPROGRESS;
     const auto deadline = Clock::now() + options_.connect_timeout;
-    bool ok = false;
-    while (!stop_requested() && Clock::now() < deadline) {
+    while (in_progress && !stop_requested() && Clock::now() < deadline) {
       pollfd p{fd, POLLOUT, 0};
       const int pr = ::poll(&p, 1, kPollSliceMs);
       if (pr < 0) break;
@@ -402,11 +343,11 @@ bool TcpTupleSink::try_connect() {
         break;
       }
     }
-    if (!ok) {
-      ::close(fd);
-      connect_failures_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
+  }
+  if (!ok) {
+    if (fd >= 0) ::close(fd);
+    connect_failures_.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
   fd_ = fd;
   connected_ = true;
@@ -434,7 +375,7 @@ TcpTupleSink::IoResult TcpTupleSink::send_frame(
         // A stalled link: nothing moves for the stall's duration.  Loop
         // back so the write deadline bounds it — a stall longer than the
         // budget kills the connection instead of completing a late write.
-        stop_aware_sleep(plan.stall);
+        (void)wait_until_or_stop(Clock::now() + plan.stall);
         continue;
       }
       want = plan.len;
@@ -515,18 +456,29 @@ bool TcpTupleSink::drain_receiver(std::optional<std::uint64_t>* hello_ack) {
   return true;
 }
 
-TcpTupleSink::IoResult TcpTupleSink::await_ack_progress() {
+TcpTupleSink::IoResult TcpTupleSink::await_ack_progress(
+    std::optional<std::uint64_t>* hello_ack) {
+  // Progress = the HELLO-ACK when awaiting one, else any cumulative ack.
   const std::uint64_t start = acked_seq_;
   const auto deadline = Clock::now() + options_.ack_timeout;
-  while (acked_seq_ == start) {
+  while (hello_ack ? !hello_ack->has_value() : acked_seq_ == start) {
     if (stop_requested()) return IoResult::kStopped;
     if (Clock::now() >= deadline) return IoResult::kClosed;
     pollfd p{fd_, POLLIN, 0};
-    const int pr = ::poll(&p, 1, kPollSliceMs);
-    if (pr < 0) return IoResult::kClosed;
-    if (!drain_receiver()) return IoResult::kClosed;
+    if (::poll(&p, 1, kPollSliceMs) < 0) return IoResult::kClosed;
+    if (!drain_receiver(hello_ack)) return IoResult::kClosed;
   }
   return IoResult::kOk;
+}
+
+void TcpTupleSink::service_receiver() {
+  // Drain pending acks; a dead socket or an ack watchdog that expired with
+  // frames in flight is an outage.
+  if (!drain_receiver() ||
+      (!window_.empty() &&
+       Clock::now() - last_ack_progress_ > options_.ack_timeout)) {
+    on_outage();
+  }
 }
 
 TcpTupleSink::IoResult TcpTupleSink::handshake() {
@@ -535,15 +487,8 @@ TcpTupleSink::IoResult TcpTupleSink::handshake() {
   const IoResult sent = send_frame(hello);
   if (sent != IoResult::kOk) return sent;
   std::optional<std::uint64_t> resume;
-  const auto deadline = Clock::now() + options_.ack_timeout;
-  while (!resume) {
-    if (stop_requested()) return IoResult::kStopped;
-    if (Clock::now() >= deadline) return IoResult::kClosed;
-    pollfd p{fd_, POLLIN, 0};
-    const int pr = ::poll(&p, 1, kPollSliceMs);
-    if (pr < 0) return IoResult::kClosed;
-    if (!drain_receiver(&resume)) return IoResult::kClosed;
-  }
+  const IoResult r = await_ack_progress(&resume);
+  if (r != IoResult::kOk) return r;
   if (ever_connected_) reconnects_.fetch_add(1, std::memory_order_relaxed);
   ever_connected_ = true;
   sessions_.fetch_add(1, std::memory_order_relaxed);
@@ -583,9 +528,8 @@ TcpTupleSink::IoResult TcpTupleSink::establish_session(int attempts) {
       const auto delay = jittered(backoff);
       backoff_ms_last_.store(std::uint64_t(delay.count()),
                              std::memory_order_relaxed);
-      stop_aware_sleep(delay);
+      if (!wait_until_or_stop(Clock::now() + delay)) return IoResult::kStopped;
       backoff = std::min(backoff * 2, options_.backoff_max);
-      if (stop_requested()) return IoResult::kStopped;
     }
     if (!try_connect()) continue;
     IoResult r = handshake();
@@ -602,12 +546,6 @@ void TcpTupleSink::enter_degraded() {
   next_heal_ = Clock::now() + options_.heal_interval;
 }
 
-bool TcpTupleSink::heal_probe() {
-  // Single attempt, no backoff ladder: degraded mode already paces probes
-  // at heal_interval.
-  return establish_session(1) == IoResult::kOk;
-}
-
 void TcpTupleSink::on_outage() {
   outages_.fetch_add(1, std::memory_order_relaxed);
   teardown_socket();
@@ -616,21 +554,20 @@ void TcpTupleSink::on_outage() {
   }
 }
 
-void TcpTupleSink::flush_and_close() {
+void TcpTupleSink::flush() {
   // Wait for the receiver to ack every accepted tuple still in the window.
   // Bounded: a reconnect budget that makes no ack progress twice in a row
-  // gives up, and whatever the receiver never confirmed is counted as
-  // lossy-link drops — conservation stays exact even when the far side is
-  // gone for good.
+  // gives up, and close_session() counts whatever the receiver never
+  // confirmed as lossy-link drops — conservation stays exact even when the
+  // far side is gone for good.  (A degraded sink is never connected, so the
+  // reconnect below is also its last heal attempt.)
   int stalled_recoveries = 0;
   std::uint64_t progress_mark = acked_seq_;
   while (!window_.empty() && !stop_requested()) {
-    if (degraded_.load(std::memory_order_relaxed) || !connected_) {
-      if (stalled_recoveries >= 2 ||
-          establish_session(options_.connect_attempts) != IoResult::kOk) {
-        break;  // receiver is not coming back
-      }
-      degraded_.store(false, std::memory_order_relaxed);
+    if (!connected_ && (stalled_recoveries >= 2 ||
+                        establish_session(options_.connect_attempts) !=
+                            IoResult::kOk)) {
+      break;  // receiver is not coming back
     }
     const IoResult r = await_ack_progress();
     if (acked_seq_ > progress_mark) {
@@ -644,25 +581,9 @@ void TcpTupleSink::flush_and_close() {
       ++stalled_recoveries;
     }
   }
-  if (!window_.empty()) {
-    for (std::size_t i = 0; i < window_.size(); ++i) {
-      metrics_.record_dropped();
-    }
-    lossy_dropped_.fetch_add(window_.size(), std::memory_order_relaxed);
-    window_.clear();
-    window_depth_.store(0, std::memory_order_relaxed);
-  }
-  if (connected_ && !stop_requested()) {
-    // Clean end of stream: the receiver may close its output (exit_on_bye)
-    // or just end the connection.
-    (void)send_frame(io::encode_control_frame(io::FrameType::kBye,
-                                              next_seq_ - 1));
-    ::shutdown(fd_, SHUT_WR);
-  }
 }
 
 void TcpTupleSink::run() {
-  using namespace std::chrono_literals;
   jitter_state_ = options_.jitter_seed ^ 0x9e3779b97f4a7c15ULL;
 
   const IoResult initial = establish_session(options_.connect_attempts);
@@ -678,37 +599,25 @@ void TcpTupleSink::run() {
   while (!stop_requested()) {
     if (degraded_.load(std::memory_order_relaxed) &&
         Clock::now() >= next_heal_) {
-      if (heal_probe()) {
+      // One attempt, no backoff ladder: degraded mode already paces
+      // probes at heal_interval.
+      if (establish_session(1) == IoResult::kOk) {
         degraded_.store(false, std::memory_order_relaxed);
       } else {
         next_heal_ = Clock::now() + options_.heal_interval;
       }
     }
     if (!have) {
-      if (in_->pop_for(t, 50ms)) {
-        have = true;
-        metrics_.record_in(t.wire_bytes());
-      } else if (in_->closed() && in_->size() == 0) {
-        break;  // input exhausted: flush below
-      }
+      const Pop p = pop_input(t);
+      if (p == Pop::kDrained) break;  // input exhausted: flush below
+      have = p == Pop::kTuple;
     }
     if (!have) {
-      // Idle: keep servicing acks and the progress watchdog.
-      if (connected_) {
-        if (!drain_receiver()) {
-          on_outage();
-        } else if (!window_.empty() &&
-                   Clock::now() - last_ack_progress_ > options_.ack_timeout) {
-          on_outage();
-        }
-      }
+      if (connected_) service_receiver();  // idle: acks and the watchdog
       continue;
     }
     if (degraded_.load(std::memory_order_relaxed)) {
-      // Counted lossy-link drop (BoundedQueue fault-hook semantics): the
-      // producer flows on, the loss is visible in the accounting.
-      metrics_.record_dropped();
-      lossy_dropped_.fetch_add(1, std::memory_order_relaxed);
+      drop_lossy(t);
       have = false;
       continue;
     }
@@ -722,46 +631,40 @@ void TcpTupleSink::run() {
     const std::uint64_t seq = next_seq_++;
     if (window_.empty()) last_ack_progress_ = Clock::now();
     window_.push_back({seq, io::encode_tuple(t, seq)});
+    release(t);
     window_depth_.store(window_.size(), std::memory_order_relaxed);
-    accepted_.fetch_add(1, std::memory_order_relaxed);
     have = false;
     if (connected_) {
       const IoResult r = send_frame(window_.back().frame);
       if (r == IoResult::kStopped) break;
       if (r == IoResult::kClosed) {
         on_outage();  // frame stays windowed; replayed on resume
-        continue;
-      }
-      if (!drain_receiver()) {
-        on_outage();
-        continue;
-      }
-      if (!window_.empty() &&
-          Clock::now() - last_ack_progress_ > options_.ack_timeout) {
-        on_outage();
+      } else {
+        service_receiver();
       }
     }
   }
+  if (have) drop_lossy(t);  // stopped while waiting for window room
 
-  flush_and_close();
-  teardown_socket();
-  if (stop_requested()) {
-    set_stop_reason(StopReason::kRequested);
-  } else if (!ever_connected_) {
-    // Satellite fix: a sink that never established a session ended in
-    // error, not by request — callers and the supervisor can tell a dead
-    // endpoint from a clean shutdown.
-    set_stop_reason(StopReason::kError);
-  } else {
-    set_stop_reason(StopReason::kUpstreamClosed);
+  flush();
+  const std::uint64_t unconfirmed = window_.size();
+  const bool healthy = unconfirmed == 0 && connected_;
+  window_.clear();
+  window_depth_.store(0, std::memory_order_relaxed);
+  if (connected_ && !stop_requested()) {
+    // Clean end of stream: the receiver may close its output (exit_on_bye)
+    // or just end the connection.
+    (void)send_frame(io::encode_control_frame(io::FrameType::kBye,
+                                              next_seq_ - 1));
+    ::shutdown(fd_, SHUT_WR);
   }
+  teardown_socket();
+  close_session(unconfirmed, healthy, ever_connected_);
 }
 
 TcpSinkCounters TcpTupleSink::counters() const noexcept {
   TcpSinkCounters c;
-  c.accepted = accepted_.load(std::memory_order_relaxed);
-  c.acked = acked_.load(std::memory_order_relaxed);
-  c.lossy_dropped = lossy_dropped_.load(std::memory_order_relaxed);
+  fill(c);
   c.frames_sent = frames_sent_.load(std::memory_order_relaxed);
   c.retransmits = retransmits_.load(std::memory_order_relaxed);
   c.sessions = sessions_.load(std::memory_order_relaxed);
@@ -771,8 +674,21 @@ TcpSinkCounters TcpTupleSink::counters() const noexcept {
   c.outages = outages_.load(std::memory_order_relaxed);
   c.backoff_ms_last = backoff_ms_last_.load(std::memory_order_relaxed);
   c.window_depth = window_depth_.load(std::memory_order_relaxed);
-  c.degraded = degraded_.load(std::memory_order_relaxed);
   return c;
+}
+
+void TcpTupleSink::medium_extras(SessionExtras& out) const {
+  const TcpSinkCounters c = counters();
+  out.insert(out.end(),
+             {{"frames_sent", double(c.frames_sent)},
+              {"retransmits", double(c.retransmits)},
+              {"sessions", double(c.sessions)},
+              {"reconnects", double(c.reconnects)},
+              {"connect_failures", double(c.connect_failures)},
+              {"acks_received", double(c.acks_received)},
+              {"outages", double(c.outages)},
+              {"backoff_ms_last", double(c.backoff_ms_last)},
+              {"window_depth", double(c.window_depth)}});
 }
 
 }  // namespace astro::stream

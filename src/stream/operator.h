@@ -7,7 +7,10 @@
 // channels, and runs until its inputs close or it is asked to stop.
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -63,11 +66,17 @@ class Operator {
     });
   }
 
-  /// Cooperative stop: the run loop checks stop_requested().  Virtual so
-  /// an operator parked in an interval wait (e.g. SnapshotPublisher's
-  /// publish cadence) can wake its condition variable immediately instead
-  /// of discovering the flag at the next poll.
-  virtual void request_stop() { stop_.store(true, std::memory_order_relaxed); }
+  /// Cooperative stop: the run loop checks stop_requested(), and an
+  /// operator parked in wait_until_or_stop() wakes at once.
+  void request_stop() {
+    {
+      // Stored under the waiters' mutex, so a request cannot slip between
+      // a waiter's predicate check and its wait.
+      std::lock_guard lock(stop_mutex_);
+      stop_.store(true, std::memory_order_relaxed);
+    }
+    stop_cv_.notify_all();
+  }
 
   void join() {
     if (thread_.joinable()) thread_.join();
@@ -88,12 +97,24 @@ class Operator {
   }
   void set_stop_reason(StopReason r) noexcept { reason_ = r; }
 
+  /// Sleeps until `deadline` unless request_stop() comes first — the one
+  /// pacing wait for operators, so no interval or backoff delays shutdown.
+  /// Returns false when stop was requested.
+  template <typename Clock, typename Duration>
+  bool wait_until_or_stop(std::chrono::time_point<Clock, Duration> deadline) {
+    std::unique_lock lock(stop_mutex_);
+    return !stop_cv_.wait_until(lock, deadline,
+                                [this] { return stop_requested(); });
+  }
+
   OperatorMetrics metrics_;
 
  private:
   std::string name_;
   std::thread thread_;
   std::atomic<bool> stop_{false};
+  std::mutex stop_mutex_;
+  std::condition_variable stop_cv_;
   StopReason reason_ = StopReason::kNone;
 };
 

@@ -39,7 +39,7 @@ void backoff(unsigned& spins) {
 ShmTupleSink::ShmTupleSink(std::string name, std::string segment,
                            ChannelPtr<DataTuple> in,
                            ShmTransportOptions options)
-    : Operator(std::move(name)), in_(std::move(in)), options_(options) {
+    : SessionSink(std::move(name), std::move(in)), options_(options) {
   segment_ = ShmRingSegment::create(
       segment, options_.ring_capacity,
       kShmSlotPrefixBytes + options_.max_frame_bytes);
@@ -117,21 +117,9 @@ void ShmTupleSink::flush(ShmRingProducer& prod, PeerWatch& watch) {
     }
     backoff(spins);
   }
-  const std::uint64_t unconfirmed = prod.head() - prod.tail();
-  if (unconfirmed > 0) {
-    for (std::uint64_t i = 0; i < unconfirmed; ++i) metrics_.record_dropped();
-    lossy_dropped_.fetch_add(unconfirmed, std::memory_order_relaxed);
-  }
-  sample_gauges(prod);
-  // Conservation closes exactly: whatever the consumer never confirmed
-  // durable is counted lossy, so accepted == acked + lossy_dropped.
-  acked_.store(accepted_.load(std::memory_order_relaxed) -
-                   lossy_dropped_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
 }
 
 void ShmTupleSink::run() {
-  using namespace std::chrono_literals;
   ShmRingProducer prod(*segment_);
   PeerWatch watch;
   bool ever_attached = false;
@@ -143,15 +131,10 @@ void ShmTupleSink::run() {
     sample_gauges(prod);
     if (!ever_attached && prod.consumer().pid != 0) ever_attached = true;
     if (!have) {
-      if (in_->pop_for(t, 50ms)) {
-        have = true;
-        metrics_.record_in(t.wire_bytes());
-        accepted_.fetch_add(1, std::memory_order_relaxed);
-      } else if (in_->closed() && in_->size() == 0) {
-        break;  // input exhausted: flush below
-      } else {
-        continue;  // idle: keep beating
-      }
+      const Pop p = pop_input(t);
+      if (p == Pop::kDrained) break;  // input exhausted: flush below
+      if (p == Pop::kIdle) continue;  // idle: keep beating
+      have = true;
     }
     if (degraded_.load(std::memory_order_relaxed)) {
       // Heal when a (new) consumer is alive and made room; until then the
@@ -161,9 +144,7 @@ void ShmTupleSink::run() {
           !prod.full()) {
         degraded_.store(false, std::memory_order_relaxed);
       } else {
-        metrics_.record_dropped();
-        lossy_dropped_.fetch_add(1, std::memory_order_relaxed);
-        if (arena_) arena_->release(t);
+        drop_lossy(t);
         have = false;
         continue;
       }
@@ -174,16 +155,15 @@ void ShmTupleSink::run() {
     const std::uint64_t seq = prod.next_seq();
     const std::span<std::uint8_t> slot = prod.stage(seq);
     const std::size_t n = io::encode_tuple_into(slot, t, seq);
-    if (arena_) arena_->release(t);  // the frame is the tuple now
     have = false;
     if (n == 0) {
       // Geometry misconfiguration (tuple bigger than a slot): counted,
       // never silently truncated.
       oversize_dropped_.fetch_add(1, std::memory_order_relaxed);
-      lossy_dropped_.fetch_add(1, std::memory_order_relaxed);
-      metrics_.record_dropped();
+      drop_lossy(t);
       continue;
     }
+    release(t);  // the frame is the tuple now
     if (options_.fault) {
       const auto plan = options_.fault->plan_commit(seq, n);
       for (const auto& [off, mask] : plan.flips) slot[off] ^= mask;
@@ -191,7 +171,6 @@ void ShmTupleSink::run() {
         // Simulated crash mid-commit: the slot is written but head never
         // advances — no flush, no bye, no further heartbeats.  The
         // consumer's peer-death detection must fire.
-        crashed_ = true;
         set_stop_reason(StopReason::kError);
         return;
       }
@@ -200,23 +179,21 @@ void ShmTupleSink::run() {
     frames_committed_.fetch_add(1, std::memory_order_relaxed);
     metrics_.record_out(n);
   }
+  if (have) drop_lossy(t);  // stopped while waiting for ring room
 
   flush(prod, watch);
-  if (stop_requested()) {
-    set_stop_reason(StopReason::kRequested);
-  } else if (!ever_attached && prod.consumer().pid == 0) {
-    // No consumer ever attached: the transport never worked.
-    set_stop_reason(StopReason::kError);
-  } else {
-    set_stop_reason(StopReason::kUpstreamClosed);
-  }
+  sample_gauges(prod);
+  const bool healthy =
+      prod.tail() == prod.head() &&
+      watch.observe(prod.consumer(), options_.peer_timeout) ==
+          PeerWatch::State::kAlive;
+  close_session(prod.head() - prod.tail(), healthy,
+                ever_attached || prod.consumer().pid != 0);
 }
 
 ShmSinkCounters ShmTupleSink::counters() const noexcept {
   ShmSinkCounters c;
-  c.accepted = accepted_.load(std::memory_order_relaxed);
-  c.acked = acked_.load(std::memory_order_relaxed);
-  c.lossy_dropped = lossy_dropped_.load(std::memory_order_relaxed);
+  fill(c);
   c.frames_committed = frames_committed_.load(std::memory_order_relaxed);
   c.oversize_dropped = oversize_dropped_.load(std::memory_order_relaxed);
   c.blocked_waits = blocked_waits_.load(std::memory_order_relaxed);
@@ -224,8 +201,18 @@ ShmSinkCounters ShmTupleSink::counters() const noexcept {
   c.ring_depth = ring_depth_.load(std::memory_order_relaxed);
   c.consumer_generations =
       consumer_generations_.load(std::memory_order_relaxed);
-  c.degraded = degraded_.load(std::memory_order_relaxed);
   return c;
+}
+
+void ShmTupleSink::medium_extras(SessionExtras& out) const {
+  const ShmSinkCounters c = counters();
+  out.insert(out.end(),
+             {{"frames_committed", double(c.frames_committed)},
+              {"oversize_dropped", double(c.oversize_dropped)},
+              {"ring_depth", double(c.ring_depth)},
+              {"blocked_waits", double(c.blocked_waits)},
+              {"wraps", double(c.wraps)},
+              {"consumer_generations", double(c.consumer_generations)}});
 }
 
 // ---------------------------------------------------------------------------
@@ -235,9 +222,8 @@ ShmSinkCounters ShmTupleSink::counters() const noexcept {
 ShmTupleServer::ShmTupleServer(std::string name, std::string segment,
                                ChannelPtr<DataTuple> out,
                                ShmTransportOptions options)
-    : Operator(std::move(name)),
+    : SessionServer(std::move(name), std::move(out)),
       segment_name_(std::move(segment)),
-      out_(std::move(out)),
       options_(options) {}
 
 ShmTupleServer::~ShmTupleServer() { join(); }
@@ -255,37 +241,7 @@ bool ShmTupleServer::attach() {
   return false;
 }
 
-void ShmTupleServer::quarantine_slot(std::uint64_t seq) {
-  quarantined_.fetch_add(1, std::memory_order_relaxed);
-  ++quarantined_since_attach_;
-  metrics_.record_dropped();
-  if (!dlq_) return;
-  // The slot failed validation, so nothing in it can be trusted except a
-  // position in the stream: forward a husk carrying the (claimed or
-  // positional) seq so the gap is observable downstream.  Non-blocking —
-  // a full DLQ must not wedge the transport.
-  DeadLetter dl;
-  dl.tuple.seq = seq;
-  dl.reason = spectra::RejectReason::kCorruptFrame;
-  if (dlq_->try_push(dl)) {
-    dead_letters_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    dead_letter_overflow_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-std::uint64_t ShmTupleServer::tail_target(const ShmRingConsumer& cons) const {
-  if (!applied_watermark_) return cons.cursor();
-  // Durable gating: the producer may only reclaim slots the application
-  // durably applied.  Quarantined husks never reach the application, so
-  // they are credited on top of the watermark — but duplicates are NOT
-  // (they sit at or below the resume point, which the watermark already
-  // covers; crediting them would let the tail outrun durability).
-  return std::min(cons.cursor(),
-                  applied_watermark_() + quarantined_since_attach_);
-}
-
-ShmTupleServer::SlotOutcome ShmTupleServer::consume_slot(
+bool ShmTupleServer::consume_slot(
     ShmRingConsumer& cons, std::uint64_t resume) {
   const std::uint64_t position = cons.cursor() + 1;
   if (options_.fault) {
@@ -297,54 +253,31 @@ ShmTupleServer::SlotOutcome ShmTupleServer::consume_slot(
       delay -= slice;
     }
   }
+  // Every reject kind is quarantined (the slot is the only copy) and every
+  // consumed slot advances the cursor.
   const std::span<const std::uint8_t> frame = cons.peek();
-  if (frame.empty()) {
-    // Length prefix outside any valid frame size: positional quarantine.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    quarantine_slot(position);
-    cons.advance();
-    return SlotOutcome::kQuarantined;
-  }
-  metrics_.record_in(frame.size());
-  const auto header = io::decode_frame_header(frame.first(io::kFrameHeaderBytes));
+  const auto header =
+      frame.empty() ? std::nullopt
+                    : io::decode_frame_header(frame.first(io::kFrameHeaderBytes));
+  if (!frame.empty()) metrics_.record_in(frame.size());
   if (!header || header->payload_bytes != frame.size() - io::kFrameHeaderBytes ||
       header->type != io::FrameType::kTuple) {
-    // Undecodable or non-tuple frame in a data ring: protocol damage.
+    // A length prefix outside any valid frame size, or an undecodable or
+    // non-tuple frame in a data ring: positional quarantine.
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    quarantine_slot(position);
-    cons.advance();
-    return SlotOutcome::kQuarantined;
-  }
-  const std::span<const std::uint8_t> payload =
-      frame.subspan(io::kFrameHeaderBytes);
-  if (!io::verify_frame_crc(frame.first(io::kFrameHeaderBytes), payload)) {
-    crc_rejects_.fetch_add(1, std::memory_order_relaxed);
-    quarantine_slot(header->seq);
-    cons.advance();
-    return SlotOutcome::kQuarantined;
-  }
-  if (header->seq <= resume) {
+    quarantine(position);
+  } else if (!verify_crc(frame.first(io::kFrameHeaderBytes),
+                         frame.subspan(io::kFrameHeaderBytes))) {
+    quarantine(header->seq);
+  } else if (header->seq <= resume) {
     // Restart replay of an already durably applied tuple: filtered, never
     // re-delivered.
     duplicates_.fetch_add(1, std::memory_order_relaxed);
-    cons.advance();
-    return SlotOutcome::kDuplicate;
+  } else if (!deliver(frame.subspan(io::kFrameHeaderBytes), header->seq)) {
+    return false;  // pipeline shutting down
   }
-  if (arena_) arena_->acquire(staging_);
-  if (!io::decode_tuple_payload_into(payload, staging_)) {
-    payload_rejects_.fetch_add(1, std::memory_order_relaxed);
-    quarantine_slot(header->seq);
-    cons.advance();
-    return SlotOutcome::kQuarantined;
-  }
-  const std::size_t bytes = staging_.wire_bytes();
-  if (!out_->push(std::move(staging_))) {
-    return SlotOutcome::kDownstreamClosed;  // pipeline shutting down
-  }
-  delivered_.fetch_add(1, std::memory_order_relaxed);
-  metrics_.record_out(bytes);
   cons.advance();
-  return SlotOutcome::kDelivered;
+  return true;
 }
 
 void ShmTupleServer::final_drain(ShmRingConsumer& cons) {
@@ -354,7 +287,7 @@ void ShmTupleServer::final_drain(ShmRingConsumer& cons) {
   std::uint64_t progress_mark = cons.tail();
   auto last_progress = Clock::now();
   while (!stop_requested() && cons.tail() < cons.cursor()) {
-    cons.publish_tail(tail_target(cons));
+    cons.publish_tail(ack_ceiling(cons.cursor()));
     cons.beat();
     const std::uint64_t t = cons.tail();
     const auto now = Clock::now();
@@ -370,33 +303,30 @@ void ShmTupleServer::final_drain(ShmRingConsumer& cons) {
 
 void ShmTupleServer::run() {
   if (!attach()) {
-    out_->close();
+    close_output();
     set_stop_reason(stop_requested() ? StopReason::kRequested
                                      : StopReason::kError);
     return;
   }
   ShmRingConsumer cons(*segment_);
   sessions_.fetch_add(1, std::memory_order_relaxed);
-  quarantined_since_attach_ = 0;
-  const std::uint64_t resume = resume_point_ ? resume_point_() : 0;
+  const std::uint64_t resume = read_resume_point();
   if (resume > 0) resumes_.fetch_add(1, std::memory_order_relaxed);
 
   PeerWatch watch;
   unsigned spins = 0;
   bool clean_bye = false;
-  bool producer_dead = false;
   bool downstream_closed = false;
 
   while (!stop_requested()) {
     cons.beat();
     if (!cons.empty()) {
       spins = 0;
-      const SlotOutcome outcome = consume_slot(cons, resume);
-      if (outcome == SlotOutcome::kDownstreamClosed) {
+      if (!consume_slot(cons, resume)) {
         downstream_closed = true;
         break;
       }
-      cons.publish_tail(tail_target(cons));
+      cons.publish_tail(ack_ceiling(cons.cursor()));
       continue;
     }
     if (cons.bye()) {
@@ -409,42 +339,35 @@ void ShmTupleServer::run() {
     if (watch.observe(cons.producer(), options_.peer_timeout) ==
         PeerWatch::State::kDead) {
       producer_deaths_.fetch_add(1, std::memory_order_relaxed);
-      producer_dead = true;
       break;
     }
-    cons.publish_tail(tail_target(cons));  // idle: keep draining watermark
+    // Idle: keep draining the watermark.
+    cons.publish_tail(ack_ceiling(cons.cursor()));
     backoff(spins);
   }
-  if (arena_) arena_->release(staging_);
-  out_->close();  // downstream drains what was delivered, then exits
+  close_output();
 
   if (stop_requested() || downstream_closed) {
     set_stop_reason(StopReason::kRequested);
-  } else if (producer_dead) {
-    set_stop_reason(StopReason::kError);
-  } else if (clean_bye) {
-    set_stop_reason(StopReason::kUpstreamClosed);
   } else {
-    set_stop_reason(StopReason::kError);
+    // Not a clean bye: the producer died.
+    set_stop_reason(clean_bye ? StopReason::kUpstreamClosed
+                              : StopReason::kError);
   }
 }
 
 ShmServerCounters ShmTupleServer::counters() const noexcept {
   ShmServerCounters c;
-  c.delivered = delivered_.load(std::memory_order_relaxed);
-  c.duplicates = duplicates_.load(std::memory_order_relaxed);
-  c.crc_rejects = crc_rejects_.load(std::memory_order_relaxed);
-  c.payload_rejects = payload_rejects_.load(std::memory_order_relaxed);
-  c.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  c.quarantined = quarantined_.load(std::memory_order_relaxed);
-  c.sessions = sessions_.load(std::memory_order_relaxed);
-  c.resumes = resumes_.load(std::memory_order_relaxed);
-  c.byes = byes_.load(std::memory_order_relaxed);
+  fill(c);
+  c.quarantined = c.crc_rejects + c.payload_rejects + c.protocol_errors;
   c.producer_deaths = producer_deaths_.load(std::memory_order_relaxed);
-  c.dead_letters = dead_letters_.load(std::memory_order_relaxed);
-  c.dead_letter_overflow =
-      dead_letter_overflow_.load(std::memory_order_relaxed);
   return c;
+}
+
+void ShmTupleServer::medium_extras(SessionExtras& out) const {
+  const ShmServerCounters c = counters();
+  out.emplace_back("quarantined", double(c.quarantined));
+  out.emplace_back("producer_deaths", double(c.producer_deaths));
 }
 
 }  // namespace astro::stream

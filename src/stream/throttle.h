@@ -13,7 +13,6 @@
 // credit an idle gap would otherwise accrue.)
 
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "stream/operator.h"
@@ -37,11 +36,11 @@ class ThrottleOperator final : public Operator {
         rate_ > 0.0 ? std::chrono::duration_cast<Clock::duration>(
                           std::chrono::duration<double>(1.0 / rate_))
                     : Clock::duration::zero();
-    // One token, available immediately; sleeping until next_due IS the
+    // One token, available immediately; waiting until next_due IS the
     // refill.  A due time in the past (input was idle longer than a
-    // period) makes sleep_until return at once — the stale credit is
-    // forfeited rather than banked, so a post-stall catch-up burst cannot
-    // happen.
+    // period) returns at once — the stale credit is forfeited rather than
+    // banked, so a post-stall catch-up burst cannot happen.  The wait ends
+    // early on request_stop(), so a slow rate never delays shutdown.
     auto next_due = Clock::now();
 
     T item;
@@ -50,7 +49,7 @@ class ThrottleOperator final : public Operator {
       const std::uint64_t t_popped = OperatorMetrics::now_ns();
       metrics_.record_pop_wait_ns(t_popped - t_prev);
       metrics_.record_in();
-      if (rate_ > 0.0) std::this_thread::sleep_until(next_due);
+      if (rate_ > 0.0 && !wait_until_or_stop(next_due)) break;
       // The pacing sleep is deliberate delay, not blocking: only the push
       // itself counts toward push_wait.
       const std::uint64_t t_push = OperatorMetrics::now_ns();

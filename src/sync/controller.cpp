@@ -95,7 +95,6 @@ void SyncController::run() {
       }
     }
     ++epoch;
-    rounds_.fetch_add(1, std::memory_order_relaxed);
     bool closed = false;
     for (const ControlTuple& cmd : cmds) {
       const std::uint64_t t_push = stream::OperatorMetrics::now_ns();
@@ -107,6 +106,10 @@ void SyncController::run() {
       metrics_.record_out();
     }
     if (closed) break;
+    // Counted once handed off: the depth-1 channel to the throttle blocks
+    // the push until the previous round left, so this is rounds effected
+    // (plus at most the one in flight), not rounds queued.
+    rounds_.fetch_add(1, std::memory_order_relaxed);
     if (strategy_done) break;  // strategy produced nothing (n < 2): done
   }
   out_->close();

@@ -55,7 +55,8 @@ class SyncController final : public stream::Operator {
     return *strategy_;
   }
 
-  /// Sync rounds emitted so far (readable live from a sampler thread).
+  /// Sync rounds whose commands were all handed downstream (readable live
+  /// from a sampler thread).
   [[nodiscard]] std::uint64_t rounds() const noexcept {
     return rounds_.load(std::memory_order_relaxed);
   }

@@ -19,15 +19,6 @@ SnapshotPublisher::SnapshotPublisher(std::string name,
       interval_seconds_(interval_seconds),
       server_(server) {}
 
-void SnapshotPublisher::request_stop() {
-  stream::Operator::request_stop();
-  // The flag store above happens-before the notify via the mutex: the run
-  // loop re-checks stop_requested() under stop_mutex_, so a request landing
-  // between its predicate check and the wait cannot be missed.
-  std::lock_guard lock(stop_mutex_);
-  stop_cv_.notify_all();
-}
-
 void SnapshotPublisher::publish_to_server() {
   // The serving layer's poison discipline (PR 4): a watchdog-quarantined
   // engine must not contribute to what millions of readers see, and a
@@ -79,14 +70,7 @@ void SnapshotPublisher::run() {
         started + std::chrono::duration_cast<Clock::duration>(
                       std::chrono::duration<double>(double(round + 1) *
                                                     interval_seconds_));
-    {
-      // Interval wait, woken immediately by request_stop() — teardown never
-      // waits out the interval and the parked publisher costs no polling
-      // wakeups.
-      std::unique_lock lock(stop_mutex_);
-      stop_cv_.wait_until(lock, due, [&] { return stop_requested(); });
-    }
-    if (stop_requested()) break;
+    if (!wait_until_or_stop(due)) break;
     ++round;
 
     const auto now_us =

@@ -19,13 +19,11 @@
 // and a round with no eligible engine publishes nothing (readers keep the
 // last good version; the skip is counted).
 //
-// Shutdown latency: the interval wait is a condition-variable wait woken by
-// request_stop(), so pipeline teardown never pays up to interval_seconds
-// (nor a polling loop's wakeup tax) for a publisher parked mid-interval.
+// Shutdown latency: the interval wait is Operator::wait_until_or_stop, so
+// pipeline teardown never pays up to interval_seconds (nor a polling
+// loop's wakeup tax) for a publisher parked mid-interval.
 
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "pca/eigensystem.h"
@@ -59,9 +57,6 @@ class SnapshotPublisher final : public stream::Operator {
                     double interval_seconds,
                     serve::SnapshotServer* server = nullptr);
 
-  /// Wakes the interval wait so a parked publisher exits immediately.
-  void request_stop() override;
-
  protected:
   void run() override;
 
@@ -74,8 +69,6 @@ class SnapshotPublisher final : public stream::Operator {
   stream::ChannelPtr<SnapshotTuple> out_;
   double interval_seconds_;
   serve::SnapshotServer* server_;
-  std::mutex stop_mutex_;
-  std::condition_variable stop_cv_;
 };
 
 }  // namespace astro::sync

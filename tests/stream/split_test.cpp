@@ -166,6 +166,35 @@ TEST(Split, LeastLoadedRotatesTieBreaks) {
   EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0ull), 900ull);
 }
 
+TEST(Split, LeastLoadedRotatesTiesDeterministically) {
+  // Outputs whose fault hook swallows every push stay at depth 0, so every
+  // least-loaded decision is a tie and, with one worker, the rotation is
+  // the only thing deciding: it must deal the ties out evenly.  A scan
+  // pinned to index 0 would send all 900 to target 0.
+  FlowGraph graph;
+  auto in = make_channel<DataTuple>(64);
+  std::vector<ChannelPtr<DataTuple>> outs;
+  for (std::size_t i = 0; i < 3; ++i) {
+    outs.push_back(make_channel<DataTuple>(64));
+    outs.back()->set_fault_hook([](std::uint64_t) {
+      FaultDecision d;
+      d.action = FaultAction::kDrop;
+      return d;
+    });
+  }
+  graph.add<ReplaySource>("source", tiny_data(900), in);
+  auto* split = graph.add<SplitOperator>("split", in, outs,
+                                         SplitStrategy::kLeastLoaded);
+  graph.start();
+  graph.wait();
+  const auto counts = split->per_target_counts();
+  ASSERT_EQ(counts.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(counts[i], 300u) << "target " << i;
+    EXPECT_EQ(outs[i]->size(), 0u);
+  }
+}
+
 TEST(Split, MultiWorkerDeliversEverything) {
   SplitHarness h(3000, 4, SplitStrategy::kRandom, /*workers=*/3);
   h.run();
