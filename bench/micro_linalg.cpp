@@ -1,7 +1,8 @@
 // E9: linear-algebra kernel micro-benchmarks (google-benchmark).
 //
 // The shapes mirror the hot paths: the low-rank eigensystem update (basis
-// projection plus a small core SVD) for single tuples and micro-batches,
+// projection plus a small core decomposition) for single tuples and
+// micro-batches, the core solvers on their own (secular vs Jacobi),
 // thin SVD of tall matrices (merges, init batch), symmetric eigensolve for
 // the merge/baseline paths, QR re-orthogonalization hygiene, and the
 // mat-vec kernels inside residual computation.
@@ -9,9 +10,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
+#include <vector>
 
 #include "linalg/eigen_sym.h"
 #include "linalg/qr.h"
+#include "linalg/rank_one_eig.h"
 #include "linalg/svd.h"
 #include "pca/incremental_pca.h"
 #include "stats/rng.h"
@@ -72,6 +76,51 @@ BENCHMARK(BM_LowRankUpdate)
     ->Args({250, 10, 8})
     ->Args({64, 7, 8})
     ->Args({2000, 10, 1});
+
+void BM_CoreSolve(benchmark::State& state) {
+  // The n x n core of one per-tuple update, K = [diag(√(αλ)) | z] with λ
+  // decaying as 2/(c+1) and the fresh column z carrying weight 1 − α,
+  // decomposed by the secular solver the update uses (solver 0) or by the
+  // one-sided Jacobi at the core tolerance 1e-14 (solver 1).
+  const auto n = std::size_t(state.range(0));
+  const bool jacobi = state.range(1) != 0;
+  const double alpha = 1.0 - 1.0 / 1000.0;
+  stats::Rng rng(9);
+  linalg::Matrix core(n, n);
+  std::vector<double> delta(n, 0.0), z(n);
+  for (std::size_t c = 0; c + 1 < n; ++c) {
+    core(c, c) = std::sqrt(alpha * 2.0 / double(c + 1));
+    delta[c] = core(c, c) * core(c, c);
+  }
+  for (std::size_t r = 0; r < n; ++r) {
+    z[r] = std::sqrt(1.0 - alpha) * rng.gaussian();
+    core(r, n - 1) = z[r];
+  }
+  linalg::RankOneEigWorkspace eig_ws;
+  linalg::SvdWorkspace svd_ws;
+  linalg::SvdOptions opts;
+  opts.tol = 1e-14;
+  linalg::Matrix u;
+  linalg::Vector values;
+  for (auto _ : state) {
+    if (jacobi) {
+      linalg::svd_left_inplace(core, svd_ws, {&u, &values}, opts);
+    } else {
+      linalg::rank_one_eig(delta.data(), z.data(), n, eig_ws, u, values);
+    }
+    benchmark::DoNotOptimize(u.data());
+    benchmark::DoNotOptimize(values.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(jacobi ? "jacobi" : "secular");
+}
+BENCHMARK(BM_CoreSolve)
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Args({11, 0})
+    ->Args({11, 1})
+    ->Args({21, 0})
+    ->Args({21, 1});
 
 void BM_SvdFull(benchmark::State& state) {
   const auto d = std::size_t(state.range(0));

@@ -5,9 +5,11 @@
 // One-sided Jacobi orthogonalizes *columns* pairwise, costing O(m n^2) per
 // sweep for an m x n input — cheap for few columns — and is
 // backward-stable without forming A^T A explicitly at working precision.
-// The incremental PCA update (paper eq. 1-3) uses it only on its small
-// (p+b) x (p+b) core, after projecting the fresh directions onto the basis
-// (pca/incremental_pca.h); merges, the init batch and the baselines
+// The incremental PCA update (paper eq. 1-3) uses it only on a
+// micro-batch's small (p+b) x (p+b) core, after projecting the fresh
+// directions onto the basis (pca/incremental_pca.h); the per-tuple (b = 1)
+// core is diagonal plus rank one and goes to the secular solver
+// (linalg/rank_one_eig.h).  Merges, the init batch and the baselines
 // decompose their tall matrices with it directly.
 //
 // Two entry styles share one kernel:
@@ -97,7 +99,7 @@ struct ThinUResult {
 /// persistent column-major scratch and writes U / s into the caller's
 /// preallocated storage.  Zero heap allocations at steady state for tall
 /// and square inputs (m >= n); a wide input (m < n) falls back to the
-/// allocating full decomposition (never the case on the per-tuple path,
+/// allocating full decomposition (never the case on the update path,
 /// whose core is square).
 void svd_left_inplace(const Matrix& a, SvdWorkspace& workspace, ThinUView out,
                       const SvdOptions& opts = {});

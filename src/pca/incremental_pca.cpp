@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "linalg/rank_one_eig.h"
 #include "linalg/simd.h"
 #include "linalg/svd.h"
 
@@ -142,19 +143,38 @@ void low_rank_update_batch(const linalg::Matrix& basis,
     }
   }
 
-  // E_new inherits U_K's loss of orthogonality, which the Jacobi stopping
-  // rule bounds by `tol`, and keeps it across updates until the next QR.
-  // At the default 1e-12 the basis would drift past 1e-11 between QRs and
-  // later tall decompositions (merges) would rotate its columns back into
-  // orthogonality; 1e-14 keeps it below 1e-12 for a few percent more
-  // core time.
-  linalg::SvdOptions core_opts;
-  core_opts.tol = 1e-14;
-  linalg::svd_left_inplace(ws.core, ws.svd,
-                           linalg::ThinUView{&ws.core_u, &ws.s}, core_opts);
+  // One tuple: K Kᵀ = diag(δ) + z zᵀ with δ = (K(0,0)², …, K(k-1,k-1)², 0)
+  // and z = column k of K, so the secular equation gives λ and U_K in
+  // O(k²), U_K orthonormal to rounding (linalg/rank_one_eig.h).  A
+  // micro-batch core has b dense columns and goes to Jacobi, whose stopping
+  // rule bounds U_K's loss of orthogonality by `tol`; E_new inherits it
+  // until the next QR.  At the default 1e-12 the basis would drift past
+  // 1e-11 between QRs and later tall decompositions (merges) would rotate
+  // its columns back into orthogonality; 1e-14 keeps it below 1e-12 for a
+  // few percent more core time.
+  if (batch == 1) {
+    ws.poles.resize_no_shrink(n);
+    for (std::size_t c = 0; c < k; ++c) {
+      ws.poles[c] = ws.core(c, c) * ws.core(c, c);
+      ws.coeffs[c] = ws.core(c, k);
+    }
+    ws.poles[k] = 0.0;
+    ws.coeffs[k] = ws.core(k, k);
+    linalg::rank_one_eig(ws.poles.data(), ws.coeffs.data(), n, ws.rank_one,
+                         ws.core_u, ws.core_lambda);
+  } else {
+    linalg::SvdOptions core_opts;
+    core_opts.tol = 1e-14;
+    linalg::svd_left_inplace(ws.core, ws.svd,
+                             linalg::ThinUView{&ws.core_u, &ws.core_lambda},
+                             core_opts);
+    for (std::size_t c = 0; c < n; ++c) {
+      ws.core_lambda[c] *= ws.core_lambda[c];
+    }
+  }
 
   // E_new = [E | Q] U_K[:, :p], one axpy per (output, input) row pair, then
-  // transposed into the row-major basis; λ = s².
+  // transposed into the row-major basis.
   const std::size_t keep = std::min(p, n);
   ws.u.resize_no_shrink(keep, d);
   for (std::size_t c = 0; c < keep; ++c) {
@@ -166,7 +186,7 @@ void low_rank_update_batch(const linalg::Matrix& basis,
   }
   e_out.resize_no_shrink(d, p);
   lambda_out.resize_no_shrink(p);
-  for (std::size_t c = 0; c < keep; ++c) lambda_out[c] = ws.s[c] * ws.s[c];
+  for (std::size_t c = 0; c < keep; ++c) lambda_out[c] = ws.core_lambda[c];
   // If p > k+batch (larger rank than columns available) the remaining
   // eigenpairs are zeroed — they fill in as more data arrives.  Explicit
   // because resize_no_shrink leaves stale values behind.

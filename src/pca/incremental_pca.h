@@ -16,8 +16,11 @@
 // ρ = |r|, A = [E r/ρ] K for the (p+1) x (p+1) core
 //   K = [ diag(√(γλ))  c ]
 //       [ 0            ρ ]
-// so U = [E r/ρ] U_K and W = S_K: an O(d p) projection, a small SVD and an
-// O(d p²) rotation, with no Jacobi sweep over the d rows.
+// so U = [E r/ρ] U_K and W = S_K: an O(d p) projection, a small core
+// decomposition and an O(d p²) rotation, with no sweep over the d rows.
+// K Kᵀ = diag(γλ, 0) + z zᵀ with z = (c, ρ) is diagonal plus rank one, so
+// its eigenpairs come from the secular equation in O(p²)
+// (linalg/rank_one_eig.h).
 //
 // This is both the Figure-1 "classical" baseline (sensitive to outliers)
 // and the skeleton the robust variant builds on.
@@ -128,8 +131,10 @@ void low_rank_update(const linalg::Matrix& basis,
 /// (d x (k+b)), without forming A.  It copies E into rows [0, k) of ws.a,
 /// CGS2-projects each f_i against E and the residual directions before it
 /// (the coefficients fill column k+i of the (k+b) x (k+b) core K, the
-/// normalized residual replaces f_i), decomposes K with svd_left_inplace
-/// and rotates E_new = [E Q] U_K[:, :p], λ = s².  A residual at rounding
+/// normalized residual replaces f_i), decomposes K — for batch = 1 as
+/// the diagonal-plus-rank-one eigenproblem K Kᵀ (linalg::rank_one_eig),
+/// for batch > 1 with svd_left_inplace — and rotates E_new =
+/// [E Q] U_K[:, :p], λ = the eigenvalues of K Kᵀ.  A residual at rounding
 /// level (f_i in the span, zero, or a repeat) gets ρ_i = 0 and a unit
 /// direction completing [E Q], so the output stays orthonormal.
 /// Caller contract: ws.a is already resized to (k+batch) x d and its rows

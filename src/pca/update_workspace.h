@@ -16,9 +16,10 @@
 // The low-rank update (incremental_pca.h) never decomposes the d x (k+b)
 // matrix A of eq. (1)-(3).  It projects the b fresh columns onto the
 // basis, orthonormalizes their residuals, and decomposes only the
-// (k+b) x (k+b) core; the d-long buffers below are the columns that
-// projection and the final rotation stream over, stored one per row so
-// every pass is a contiguous SIMD dot/axpy.
+// (k+b) x (k+b) core — for one tuple (b = 1) as the rank-one eigenproblem
+// diag(δ) + z zᵀ, for a micro-batch with Jacobi; the d-long buffers below
+// are the columns that projection and the final rotation stream over,
+// stored one per row so every pass is a contiguous SIMD dot/axpy.
 //
 // Not thread-safe: a workspace belongs to the single thread driving its
 // engine, matching the one-engine-one-thread execution model of the
@@ -27,6 +28,7 @@
 #include <cstddef>
 
 #include "linalg/matrix.h"
+#include "linalg/rank_one_eig.h"
 #include "linalg/svd.h"
 #include "linalg/vector.h"
 
@@ -40,10 +42,14 @@ struct UpdateWorkspace {
   linalg::Matrix u;             ///< [E | Q] U_K, one output column per row
   linalg::Matrix core;          ///< (k+b) x (k+b) core K
   linalg::Matrix core_u;        ///< left singular vectors U_K of the core
-  linalg::Vector s;             ///< singular values of the core
+  linalg::Vector core_lambda;   ///< eigenvalues of K Kᵀ, descending
   linalg::Vector y;             ///< centered observation x - mu
-  linalg::Vector coeffs;        ///< E^T y; projection coefficients of one pass
-  linalg::SvdWorkspace svd;     ///< Jacobi scratch for the core
+  /// E^T y; projection coefficients of one pass.  On the per-tuple path it
+  /// then holds z = (c, ρ), the core's fresh column.
+  linalg::Vector coeffs;
+  linalg::Vector poles;         ///< δ_i = K(i,i)², the b = 1 solver's input
+  linalg::RankOneEigWorkspace rank_one;  ///< secular scratch (b = 1 core)
+  linalg::SvdWorkspace svd;     ///< Jacobi scratch for the b > 1 core
   /// Micro-batch scalar scratch (DESIGN.md "Micro-batching"): one slot per
   /// batched tuple for the history coefficient γ̂_j and the fresh weight of
   /// the tuple's row of `a`.  Sized by ensure()'s `cols` like everything
@@ -63,9 +69,11 @@ struct UpdateWorkspace {
     u.resize_no_shrink(cols, d);
     core.resize_no_shrink(cols, cols);
     core_u.resize_no_shrink(cols, cols);
-    s.resize_no_shrink(cols);
+    core_lambda.resize_no_shrink(cols);
     y.resize_no_shrink(d);
     coeffs.resize_no_shrink(cols);
+    poles.resize_no_shrink(cols);
+    rank_one.reserve(cols);
     svd.reserve(cols, cols);
     batch_gammas.resize_no_shrink(cols);
     batch_weights.resize_no_shrink(cols);
