@@ -77,31 +77,6 @@ void complete_direction(const linalg::Matrix& w, std::size_t m, double* v,
 
 }  // namespace
 
-void low_rank_update(const linalg::Matrix& basis,
-                     const linalg::Vector& eigenvalues,
-                     const linalg::Vector& y, double gamma,
-                     double fresh_weight, std::size_t p, linalg::Matrix* e_out,
-                     linalg::Vector* lambda_out) {
-  UpdateWorkspace ws;
-  low_rank_update(basis, eigenvalues, y, gamma, fresh_weight, p, ws, *e_out,
-                  *lambda_out);
-}
-
-void low_rank_update(const linalg::Matrix& basis,
-                     const linalg::Vector& eigenvalues,
-                     const linalg::Vector& y, double gamma,
-                     double fresh_weight, std::size_t p, UpdateWorkspace& ws,
-                     linalg::Matrix& e_out, linalg::Vector& lambda_out) {
-  const std::size_t d = y.size();
-  const std::size_t k = eigenvalues.size();
-  ws.a.resize_no_shrink(k + 1, d);
-  const double yscale = std::sqrt(std::max(0.0, fresh_weight));
-  double* f = ws.a.row_span(k).data();
-  for (std::size_t r = 0; r < d; ++r) f[r] = y[r] * yscale;
-  low_rank_update_batch(basis, eigenvalues, gamma, 1, p, ws, e_out,
-                        lambda_out);
-}
-
 void low_rank_update_batch(const linalg::Matrix& basis,
                            const linalg::Vector& eigenvalues,
                            double history_scale, std::size_t batch,
@@ -213,42 +188,33 @@ IncrementalPca::IncrementalPca(const IncrementalPcaConfig& config)
 }
 
 void IncrementalPca::observe(const linalg::Vector& x) {
-  if (x.size() != config_.dim) {
-    throw std::invalid_argument("observe: wrong dimensionality");
-  }
-  if (!init_done_) {
-    init_buffer_.push_back(x);
-    if (init_buffer_.size() >= config_.init_count) initialize_from_buffer();
-    return;
-  }
-  update(x);
+  const linalg::Vector* xp = &x;
+  observe_batch(&xp, 1);
 }
 
 void IncrementalPca::observe_batch(const linalg::Vector* const* xs,
                                    std::size_t n) {
-  std::size_t j = 0;
-  // The init buffer wants tuples one at a time (it may complete mid-batch).
-  while (j < n && !init_done_) observe(*xs[j++]);
-  if (j == n) return;
-  const std::size_t b = n - j;
-  if (b == 1) {
-    update(*xs[j]);
-    return;
-  }
-  for (std::size_t i = j; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (xs[i]->size() != config_.dim) {
       throw std::invalid_argument("observe_batch: wrong dimensionality");
     }
   }
-
+  std::size_t j = 0;
+  // The init buffer takes tuples one at a time (it may complete mid-batch).
+  for (; j < n && !init_done_; ++j) {
+    init_buffer_.push_back(*xs[j]);
+    if (init_buffer_.size() >= config_.init_count) initialize_from_buffer();
+  }
+  if (j == n) return;
+  const std::size_t b = n - j;
   const std::size_t p = config_.rank;
   const std::size_t d = config_.dim;
   ws_.ensure(d, p + b);
   ws_.a.resize_no_shrink(p + b, d);
 
-  // Pass 1 — per-tuple scalar recursions, sequenced exactly like b
-  // observe() calls: residual against the pre-batch basis and the running
-  // mean, forgetting-sum advance, mean blend, σ² diagnostic.  Each tuple's
+  // Pass 1 — per-tuple scalar recursions: residual against the pre-batch
+  // basis and the running mean, forgetting-sum advance (every observation
+  // has unit weight), mean blend (eq. 9), σ² diagnostic.  Each tuple's
   // fresh direction is centered against its own updated mean straight into
   // its fresh row of ws_.a; the row's weight is only known once the later
   // tuples' γ exist, so scaling is deferred.
@@ -341,32 +307,6 @@ void IncrementalPca::initialize_from_buffer() {
   init_buffer_.clear();
   init_buffer_.shrink_to_fit();
   init_done_ = true;
-}
-
-void IncrementalPca::update(const linalg::Vector& x) {
-  // Forgetting count drives both the mean and covariance blend; in the
-  // classic algorithm every observation has unit weight.  Every temporary
-  // lives in ws_ — a steady-state update performs no heap allocation
-  // (pinned by tests/perf/alloc_count_test).
-  const double r2 = system_.squared_residual(x, ws_.y, ws_.coeffs);
-  const auto gammas = system_.mutable_sums().update(1.0, r2);
-  const double gamma = gammas.g3;  // alpha*u_prev/u
-
-  // mu = gamma*mu_prev + (1-gamma)*x  (eq. 9 with w = 1)
-  linalg::Vector& mean = system_.mutable_mean();
-  mean *= gamma;
-  mean.axpy(1.0 - gamma, x);
-
-  system_.center_into(x, ws_.y);  // against the updated mean
-
-  low_rank_update(system_.basis(), system_.eigenvalues(), ws_.y, gamma,
-                  1.0 - gamma, config_.rank, ws_, system_.mutable_basis(),
-                  system_.mutable_eigenvalues());
-
-  // Track the (non-robust) mean squared residual as sigma2 for diagnostics.
-  const double g = gamma;
-  system_.set_sigma2(g * system_.sigma2() + (1.0 - g) * r2);
-  system_.count_observation();
 }
 
 void IncrementalPca::set_eigensystem(EigenSystem system) {

@@ -22,6 +22,10 @@
 // its eigenpairs come from the secular equation in O(p²)
 // (linalg/rank_one_eig.h).
 //
+// There is one update path: observe(x) is a micro-batch of one, and every
+// batch stages its weighted fresh rows in the workspace and makes one call
+// to low_rank_update_batch, the kernel below.
+//
 // This is both the Figure-1 "classical" baseline (sensitive to outliers)
 // and the skeleton the robust variant builds on.
 
@@ -47,15 +51,15 @@ class IncrementalPca {
  public:
   explicit IncrementalPca(const IncrementalPcaConfig& config);
 
-  /// Consume one observation; cheap O(d p²) once initialized.
+  /// Consume one observation: a micro-batch of one, O(d p²) once
+  /// initialized.
   void observe(const linalg::Vector& x);
 
   /// Consume a micro-batch of `n` observations with ONE low-rank update
   /// (DESIGN.md "Micro-batching").  Per-tuple scalar state — the
   /// forgetting sums, the mean recursion and the σ² diagnostic — advances
-  /// sequentially exactly as n observe() calls would; only the
-  /// eigensystem update is batched, taking the top-p left singular system
-  /// of the d x (p+n) matrix
+  /// tuple by tuple; only the eigensystem update is batched, taking the
+  /// top-p left singular system of the d x (p+n) matrix
   ///   A = [ E √(G Λ) | y_1 √w_1 | ... | y_n √w_n ],
   /// G = ∏ γ_j and w_j = (1−γ_j) ∏_{i>j} γ_i, which is the eq. (1)-(3)
   /// recursion unrolled WITHOUT the intermediate rank-p truncations.  When
@@ -63,7 +67,8 @@ class IncrementalPca {
   /// nothing and the batched result equals the sequential one (pinned to
   /// 1e-10 by tests); on general data the batch keeps strictly more of the
   /// update mass than the sequential path.  Tuples still inside the init
-  /// phase are buffered individually.
+  /// phase are buffered individually.  Every tuple's length is checked
+  /// before any state moves.
   void observe_batch(const linalg::Vector* const* xs, std::size_t n);
   void observe_batch(const std::vector<linalg::Vector>& xs);
 
@@ -91,7 +96,6 @@ class IncrementalPca {
 
  private:
   void initialize_from_buffer();
-  void update(const linalg::Vector& x);
 
   IncrementalPcaConfig config_;
   EigenSystem system_;
@@ -99,32 +103,6 @@ class IncrementalPca {
   std::vector<linalg::Vector> init_buffer_;
   bool init_done_ = false;
 };
-
-/// Shared helper: the low-rank eigensystem update.  Given the current basis
-/// (orthonormal columns) and eigenvalues, blends in direction `y` with
-/// weights (γ on history, `fresh_weight` on y yᵀ) — the top-`p` left
-/// singular system of the (p+1)-column A matrix, returned through the
-/// out-params.
-void low_rank_update(const linalg::Matrix& basis,
-                     const linalg::Vector& eigenvalues,
-                     const linalg::Vector& y, double gamma,
-                     double fresh_weight, std::size_t p, linalg::Matrix* e_out,
-                     linalg::Vector* lambda_out);
-
-/// Hot-path form: stages y√fresh_weight as the one fresh row of `ws.a` and
-/// runs low_rank_update_batch with batch = 1.  The new basis / eigenvalues
-/// are written into preallocated `e_out` / `lambda_out` (resized no-shrink,
-/// every entry rewritten).  Zero heap allocations at steady state.
-/// `e_out` / `lambda_out` MAY alias `basis` / `eigenvalues`.  The pointer
-/// overload above is a thin wrapper over this one (temporary workspace),
-/// so both paths are bit-identical by construction.  `y` must not live
-/// inside `ws`'s own buffers except as `ws.y` (which the update never
-/// touches).
-void low_rank_update(const linalg::Matrix& basis,
-                     const linalg::Vector& eigenvalues,
-                     const linalg::Vector& y, double gamma,
-                     double fresh_weight, std::size_t p, UpdateWorkspace& ws,
-                     linalg::Matrix& e_out, linalg::Vector& lambda_out);
 
 /// The update kernel, for `batch` >= 1 fresh directions: the top-`p` left
 /// singular system of A = [ E √(history_scale·Λ) | f_1 | ... | f_b ]

@@ -19,10 +19,16 @@
 // rejection point gets w = 0: it moves nothing (γ₁ = γ₂ = 1) and is flagged
 // as an outlier — the black points atop Figure 1.
 //
+// The recursion lives in one place: a private step() advances the scalar
+// state of one observation and stages its fresh row, and flush() runs one
+// low-rank update over the staged rows.  A complete observation is a
+// micro-batch of one; a micro-batch steps b observations and flushes once.
+//
 // Missing data (§II-D): when a pixel mask accompanies the observation, the
 // vector is patched from the current eigenbasis before the update and the
 // residual is corrected using `extra_rank` higher-order components so gappy
-// spectra are not over-weighted.
+// spectra are not over-weighted; the patched vector then takes the same
+// step and a flush of its one row.
 
 #include <memory>
 #include <optional>
@@ -85,24 +91,25 @@ class RobustIncrementalPca {
  public:
   explicit RobustIncrementalPca(const RobustPcaConfig& config);
 
-  /// Consume one complete observation.
-  ObservationReport observe(const linalg::Vector& x);
+  /// Consume one observation.  `observed` marks the measured pixels
+  /// (observed[i] == true); an empty mask — or one with no gaps — means
+  /// complete, and a complete observation is a micro-batch of one.  A
+  /// gappy one is patched first (§II-D) and then takes the same step.
+  ObservationReport observe(const linalg::Vector& x,
+                            const PixelMask& observed = {});
 
-  /// Consume an observation with missing pixels (mask[i] == observed).
-  ObservationReport observe(const linalg::Vector& x, const PixelMask& observed);
-
-  /// Consume a micro-batch of `n` complete observations with one thin SVD
-  /// (DESIGN.md "Micro-batching"), writing one report per tuple into
+  /// Consume a micro-batch of `n` complete observations with one low-rank
+  /// update (DESIGN.md "Micro-batching"), writing one report per tuple into
   /// `reports` (must have room for n).  Robust semantics stay PER TUPLE:
   /// each observation's residual, weight and outlier decision are computed
   /// against the pre-batch basis (that staleness is the documented cost of
   /// b > 1 — the basis a tuple is judged against is at most b−1 updates
-  /// old), while the mean, σ² and forgetting-sum recursions advance
-  /// sequentially exactly as n observe() calls would.  Outliers (w = 0)
-  /// contribute γ₂ = 1 and no column, identical to the sequential path.
-  /// Tuples still inside the init phase are buffered individually, and
-  /// engines tracking robust eigenvalues fall back to the sequential path
-  /// (the per-component recursion needs the post-update basis per tuple).
+  /// old), while the mean, σ² and forgetting-sum recursions advance per
+  /// tuple.  Outliers (w = 0) contribute γ₂ = 1 and no fresh row.  Tuples
+  /// still inside the init phase are buffered individually, and engines
+  /// tracking robust eigenvalues update once per tuple (the per-component
+  /// recursion needs the post-update basis per tuple).  Every tuple's
+  /// length is checked before any state moves.
   void observe_batch(const linalg::Vector* const* xs, std::size_t n,
                      ObservationReport* reports);
   std::vector<ObservationReport> observe_batch(
@@ -174,7 +181,20 @@ class RobustIncrementalPca {
 
  private:
   void initialize_from_buffer();
-  ObservationReport update(const linalg::Vector& x, const PixelMask* observed);
+  /// Steps 2-6 of the recursion for one observation `x` (patched when
+  /// gappy) whose squared rank-p residual `r2` against the pre-update
+  /// system the caller computed; `dof_scale` normalizes a gappy residual to
+  /// full coverage (1 for a complete one).  Weights, outlier flag and
+  /// safety valve, running sums, mean and σ² advance; x's fresh row is
+  /// staged in ws_.a for flush() unless it leaves C untouched.  Fills the
+  /// scalar fields of `rep` and returns γ₃.
+  double step(const linalg::Vector& x, double r2, double dof_scale,
+              ObservationReport& rep);
+  /// One low-rank update over the rows staged since the last flush, then
+  /// the periodic re-orthonormalization over the `n` observations stepped.
+  void flush(std::size_t n);
+  /// The §II-B per-component scale recursion for `x`, after its flush.
+  void track_robust_eigenvalues(const linalg::Vector& x, double g3);
 
   RobustPcaConfig config_;
   std::unique_ptr<ExactIpca> exact_;  ///< non-null iff mode == kExact
@@ -191,6 +211,7 @@ class RobustIncrementalPca {
   std::size_t consecutive_rejects_ = 0;
   std::vector<double> rejected_residuals_;  // |r| of the current reject run
   std::size_t updates_since_qr_ = 0;
+  std::size_t staged_ = 0;  // fresh rows of ws_.a awaiting flush()
 };
 
 /// Rank-p truncation of an eigensystem (drops trailing components; running

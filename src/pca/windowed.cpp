@@ -84,13 +84,6 @@ void SlidingWindowPca::roll_if_full() {
   }
 }
 
-ObservationReport SlidingWindowPca::observe(const linalg::Vector& x) {
-  roll_if_full();
-  ++live_count_;
-  ++coverage_;
-  return live_->observe(x);
-}
-
 ObservationReport SlidingWindowPca::observe(const linalg::Vector& x,
                                             const PixelMask& mask) {
   roll_if_full();

@@ -47,9 +47,9 @@ class SlidingWindowPca {
  public:
   explicit SlidingWindowPca(const WindowedPcaConfig& config);
 
-  /// Consume one observation (optionally masked).
-  ObservationReport observe(const linalg::Vector& x);
-  ObservationReport observe(const linalg::Vector& x, const PixelMask& mask);
+  /// Consume one observation (an empty mask means complete).
+  ObservationReport observe(const linalg::Vector& x,
+                            const PixelMask& mask = {});
 
   /// Consume a micro-batch, splitting it at bucket boundaries: a batch
   /// never spans a roll, so every sub-batch lands in exactly the bucket it

@@ -113,7 +113,7 @@ void PcaEngineOperator::apply_batch_locked() {
         chunk = std::min<std::size_t>(chunk, std::size_t(*at - stats_.tuples));
       }
     }
-    // Masked tuples take the sequential gap-patching path; maximal
+    // Masked tuples are patched and applied one at a time; maximal
     // unmasked runs are absorbed by one batched update each.
     const std::size_t chunk_end = applied + chunk;
     std::size_t i = applied;
@@ -243,9 +243,7 @@ void PcaEngineOperator::recover() {
       ++stats_.replay_quarantined;
       continue;
     }
-    const pca::ObservationReport rep =
-        t.mask.empty() ? pca_.observe(t.values)
-                       : pca_.observe(t.values, t.mask);
+    const pca::ObservationReport rep = pca_.observe(t.values, t.mask);
     ++stats_.tuples;
     ++since_last_sync_;
     if (rep.outlier) ++stats_.outliers;

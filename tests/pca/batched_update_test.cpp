@@ -4,8 +4,9 @@
 // exactly in the retained subspace the intermediate rank-p truncations
 // discard nothing, so batched and sequential classic PCA agree to FP noise
 // (pinned at 1e-10).  Around it: bitwise b == 1 delegation, init-boundary
-// handling, the robust outlier semantics (per-tuple decisions, rejected
-// tuples inert), and bucket-boundary splitting in the sliding window.
+// handling, wrong-length tuples refused before any state moves, the robust
+// outlier semantics (per-tuple decisions, rejected tuples inert), and
+// bucket-boundary splitting in the sliding window.
 
 #include <gtest/gtest.h>
 
@@ -63,6 +64,26 @@ void expect_systems_close(const EigenSystem& a, const EigenSystem& b,
           << "basis(" << r << "," << c << ")";
     }
   }
+}
+
+/// Bitwise equality of every piece of engine state a tuple could move.
+void expect_bit_identical(const EigenSystem& a, const EigenSystem& b) {
+  EXPECT_EQ(a.observations(), b.observations());
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.sums().u(), b.sums().u());
+  EXPECT_EQ(a.sums().v(), b.sums().v());
+  EXPECT_EQ(a.sums().q(), b.sums().q());
+  EXPECT_EQ(a.sigma2(), b.sigma2());
+  EXPECT_EQ(a.basis(), b.basis());
+  EXPECT_EQ(a.eigenvalues(), b.eigenvalues());
+}
+
+/// A batch of 8 drawn from `model` whose sixth tuple is one entry short.
+std::vector<Vector> batch_with_short_tuple(const testing::LowRankModel& model,
+                                           Rng& rng) {
+  std::vector<Vector> batch = draw_many(model, rng, 8);
+  batch[5] = Vector(model.mean.size() - 1);
+  return batch;
 }
 
 // ---------------------------------------------------------------------------
@@ -133,7 +154,7 @@ TEST(BatchedClassic, BatchOfOneIsBitIdenticalToObserve) {
     const Vector x = draw(model, rng);
     a.observe(x);
     const Vector* p = &x;
-    b.observe_batch(&p, 1);  // delegates to the same update() — bit-equal
+    b.observe_batch(&p, 1);  // observe() is this same call — bit-equal
   }
   ASSERT_TRUE(a.initialized());
   for (std::size_t c = 0; c < 3; ++c) {
@@ -196,6 +217,55 @@ TEST(BatchedRobust, BatchOfOneIsBitIdenticalToObserve) {
     }
   }
   EXPECT_EQ(a.sigma2(), b.sigma2());
+}
+
+TEST(BatchedClassic, WrongLengthTupleThrowsBeforeAnyStateMoves) {
+  Rng rng(31);
+  const auto model = make_model(rng, 16, 3);
+  IncrementalPcaConfig cfg;
+  cfg.dim = 16;
+  cfg.rank = 3;
+  IncrementalPca engine(cfg);
+  for (std::size_t i = 0; i < cfg.init_count + 32; ++i) {
+    engine.observe(draw(model, rng));
+  }
+  ASSERT_TRUE(engine.initialized());
+  const EigenSystem before = engine.eigensystem();
+
+  const Vector short_tuple(15);
+  const Vector* one = &short_tuple;
+  EXPECT_THROW(engine.observe_batch(&one, 1), std::invalid_argument);
+  expect_bit_identical(before, engine.eigensystem());
+
+  EXPECT_THROW(engine.observe_batch(batch_with_short_tuple(model, rng)),
+               std::invalid_argument);
+  expect_bit_identical(before, engine.eigensystem());
+}
+
+TEST(BatchedRobust, WrongLengthTupleThrowsBeforeAnyStateMoves) {
+  Rng rng(37);
+  const auto model = make_model(rng, 16, 3);
+  RobustPcaConfig cfg;
+  cfg.dim = 16;
+  cfg.rank = 3;
+  RobustIncrementalPca engine(cfg);
+  for (std::size_t i = 0; i < cfg.init_count + 32; ++i) {
+    engine.observe(draw(model, rng));
+  }
+  ASSERT_TRUE(engine.initialized());
+  const EigenSystem before = engine.eigensystem();
+  const std::uint64_t outliers = engine.outliers_flagged();
+
+  const Vector short_tuple(15);
+  const Vector* one = &short_tuple;
+  ObservationReport rep;
+  EXPECT_THROW(engine.observe_batch(&one, 1, &rep), std::invalid_argument);
+  expect_bit_identical(before, engine.eigensystem());
+
+  EXPECT_THROW(engine.observe_batch(batch_with_short_tuple(model, rng)),
+               std::invalid_argument);
+  expect_bit_identical(before, engine.eigensystem());
+  EXPECT_EQ(engine.outliers_flagged(), outliers);
 }
 
 TEST(BatchedRobust, AllOutlierBatchLeavesEigensystemUntouched) {

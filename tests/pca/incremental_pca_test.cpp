@@ -168,7 +168,9 @@ TEST(LowRankUpdate, PreservesTotalVarianceWeighting) {
 
   linalg::Matrix e_out;
   linalg::Vector l_out;
-  low_rank_update(basis, lambda, y, gamma, 1.0 - gamma, 3, &e_out, &l_out);
+  UpdateWorkspace ws;
+  testing::stage_fresh_row(ws, y, 1.0 - gamma, 2);
+  low_rank_update_batch(basis, lambda, gamma, 1, 3, ws, e_out, l_out);
 
   const double mass_in = gamma * (5.0 + 2.0) + (1.0 - gamma) * y.squared_norm();
   EXPECT_NEAR(l_out.sum(), mass_in, 1e-9);
@@ -183,7 +185,9 @@ TEST(LowRankUpdate, RankPadsWithZeros) {
   linalg::Vector y{0.0, 2.0, 0.0, 0.0};
   linalg::Matrix e_out;
   linalg::Vector l_out;
-  low_rank_update(basis, lambda, y, 0.5, 0.5, 4, &e_out, &l_out);
+  UpdateWorkspace ws;
+  testing::stage_fresh_row(ws, y, 0.5, 1);
+  low_rank_update_batch(basis, lambda, 0.5, 1, 4, ws, e_out, l_out);
   EXPECT_EQ(l_out.size(), 4u);
   EXPECT_NEAR(l_out[2], 0.0, 1e-12);
   EXPECT_NEAR(l_out[3], 0.0, 1e-12);

@@ -1,4 +1,4 @@
-// The projection kernel behind low_rank_update / low_rank_update_batch,
+// The projection kernel low_rank_update_batch, the one update entry point,
 // pinned against a reference built here: the d x (k+b) matrix
 //   A = [ E sqrt(h Λ) | F ]
 // assembled explicitly and decomposed with svd_left.  The kernel never
@@ -83,12 +83,6 @@ Update run_kernel(const Problem& pr, std::size_t p) {
   const std::size_t b = pr.fresh.cols();
   UpdateWorkspace ws;
   Update out;
-  if (b == 1) {
-    // The per-tuple entry point takes y and its weight separately.
-    low_rank_update(pr.basis, pr.lambda, pr.fresh.col(0), pr.history, 1.0, p,
-                    ws, out.basis, out.lambda);
-    return out;
-  }
   ws.ensure(d, k + b);
   ws.a.resize_no_shrink(k + b, d);
   for (std::size_t i = 0; i < b; ++i) {

@@ -76,7 +76,10 @@ TEST(ScaleImplosionGuard, SmallOverfitBatchStaysFinite) {
   }
 }
 
-TEST(SafetyValve, RecoversFromCollapsedScale) {
+// Collapses σ² so every tuple is rejected, then streams 400 clean tuples in
+// micro-batches of `batch` (1 = observe()): the valve must re-estimate the
+// scale and the engine must resume accepting clean data.
+void expect_recovers_from_collapsed_scale(std::size_t batch) {
   Rng rng(613);
   const auto model = testing::make_model(rng, 15, 2, 3.0, 0.05);
 
@@ -92,13 +95,27 @@ TEST(SafetyValve, RecoversFromCollapsedScale) {
   sabotaged.set_sigma2(1e-12);
   engine.set_eigensystem(std::move(sabotaged));
 
-  for (int i = 0; i < 400; ++i) engine.observe(testing::draw(model, rng));
+  for (std::size_t i = 0; i < 400; i += batch) {
+    if (batch == 1) {
+      engine.observe(testing::draw(model, rng));
+    } else {
+      engine.observe_batch(testing::draw_many(model, rng, batch));
+    }
+  }
   EXPECT_GE(engine.scale_resets(), 1u);
   // Processing resumed: recent clean data accepted, subspace still good.
   const auto rep = engine.observe(testing::draw(model, rng));
   EXPECT_FALSE(rep.outlier);
   EXPECT_GT(subspace_affinity(engine.eigensystem().basis(), model.basis),
             0.95);
+}
+
+TEST(SafetyValve, RecoversFromCollapsedScale) {
+  expect_recovers_from_collapsed_scale(1);
+}
+
+TEST(SafetyValve, RecoversFromCollapsedScaleInMicroBatches) {
+  expect_recovers_from_collapsed_scale(8);
 }
 
 TEST(SafetyValve, DisabledWhenThresholdZero) {

@@ -1,12 +1,15 @@
 #pragma once
 
 // Shared synthetic-data helpers for the PCA test suites: low-rank Gaussian
-// manifolds with known ground-truth bases, plus outlier contamination.
+// manifolds with known ground-truth bases, plus outlier contamination, and
+// the staging of one fresh direction for the update kernel.
 
+#include <cmath>
 #include <vector>
 
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
+#include "pca/update_workspace.h"
 #include "stats/rng.h"
 
 namespace astro::pca::testing {
@@ -55,6 +58,16 @@ inline linalg::Vector draw_outlier(const LowRankModel& m, stats::Rng& rng,
   linalg::Vector dir = rng.gaussian_vector(m.mean.size());
   dir.normalize();
   return m.mean + dir * amplitude;
+}
+
+/// Stages y·√weight as the one fresh row of `ws.a` behind k basis rows —
+/// the caller contract of low_rank_update_batch(…, batch = 1, …), which
+/// then blends y yᵀ into the eigensystem with that weight.
+inline void stage_fresh_row(UpdateWorkspace& ws, const linalg::Vector& y,
+                            double weight, std::size_t k) {
+  ws.a.resize_no_shrink(k + 1, y.size());
+  const double s = std::sqrt(weight);
+  for (std::size_t r = 0; r < y.size(); ++r) ws.a(k, r) = y[r] * s;
 }
 
 }  // namespace astro::pca::testing

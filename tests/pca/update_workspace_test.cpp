@@ -1,6 +1,8 @@
-// Equivalence of the workspace-based low_rank_update with the allocating
-// pointer overload (which wraps it), including the aliased-output form the
-// engines use (e_out == basis, lambda_out == eigenvalues).
+// The update kernel's workspace contract at batch = 1: a recycled
+// workspace gives the same bits as a freshly allocated one, the aliased
+// outputs the engines use (e_out == basis, lambda_out == eigenvalues) equal
+// the non-aliased ones, stale outputs are fully rewritten, and ensure()
+// never shrinks.
 
 #include "pca/update_workspace.h"
 
@@ -9,12 +11,14 @@
 #include "linalg/qr.h"
 #include "pca/incremental_pca.h"
 #include "stats/rng.h"
+#include "tests/pca/test_data.h"
 
 namespace astro::pca {
 namespace {
 
 using astro::stats::Rng;
 using linalg::Matrix;
+using testing::stage_fresh_row;
 using linalg::Vector;
 
 struct Inputs {
@@ -34,7 +38,18 @@ Inputs make_setup(std::uint64_t seed, std::size_t d, std::size_t k) {
   return s;
 }
 
+/// The kernel at batch = 1 with a workspace allocated for this call alone.
+void update_fresh(const Inputs& s, double gamma, double weight, std::size_t p,
+                  Matrix& e_out, Vector& l_out) {
+  UpdateWorkspace ws;
+  stage_fresh_row(ws, s.y, weight, s.eigenvalues.size());
+  low_rank_update_batch(s.basis, s.eigenvalues, gamma, 1, p, ws, e_out,
+                        l_out);
+}
+
 TEST(LowRankUpdateWorkspace, InPlaceMatchesAllocatingBitForBit) {
+  // One workspace recycled across shapes (as the engines do) against a
+  // freshly allocated one per call.
   UpdateWorkspace ws;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const std::size_t d = 12 + std::size_t(seed) * 3;
@@ -43,12 +58,13 @@ TEST(LowRankUpdateWorkspace, InPlaceMatchesAllocatingBitForBit) {
 
     Matrix e_ref;
     Vector l_ref;
-    low_rank_update(s.basis, s.eigenvalues, s.y, 0.9, 0.1, k, &e_ref, &l_ref);
+    update_fresh(s, 0.9, 0.1, k, e_ref, l_ref);
 
     Matrix e_new;
     Vector l_new;
-    low_rank_update(s.basis, s.eigenvalues, s.y, 0.9, 0.1, k, ws, e_new,
-                    l_new);
+    stage_fresh_row(ws, s.y, 0.1, k);
+    low_rank_update_batch(s.basis, s.eigenvalues, 0.9, 1, k, ws, e_new,
+                          l_new);
     EXPECT_EQ(e_new, e_ref) << "seed " << seed;
     EXPECT_EQ(l_new, l_ref) << "seed " << seed;
   }
@@ -56,17 +72,18 @@ TEST(LowRankUpdateWorkspace, InPlaceMatchesAllocatingBitForBit) {
 
 TEST(LowRankUpdateWorkspace, AliasedOutputsMatchNonAliased) {
   // The engine hot path passes its own basis/eigenvalues as both input and
-  // output; A is assembled before the outputs are written, so this must
+  // output; E is copied out before the outputs are written, so this must
   // equal the non-aliased result exactly.
   const Inputs s = make_setup(42, 30, 5);
   Matrix e_ref;
   Vector l_ref;
-  low_rank_update(s.basis, s.eigenvalues, s.y, 0.95, 0.05, 5, &e_ref, &l_ref);
+  update_fresh(s, 0.95, 0.05, 5, e_ref, l_ref);
 
   UpdateWorkspace ws;
   Matrix basis = s.basis;
   Vector lambda = s.eigenvalues;
-  low_rank_update(basis, lambda, s.y, 0.95, 0.05, 5, ws, basis, lambda);
+  stage_fresh_row(ws, s.y, 0.05, 5);
+  low_rank_update_batch(basis, lambda, 0.95, 1, 5, ws, basis, lambda);
   EXPECT_EQ(basis, e_ref);
   EXPECT_EQ(lambda, l_ref);
 }
@@ -80,11 +97,12 @@ TEST(LowRankUpdateWorkspace, RankLargerThanColumnsZeroFillsTail) {
   Vector l_out(6);
   e_out.fill(123.0);
   l_out.fill(456.0);
-  low_rank_update(s.basis, s.eigenvalues, s.y, 0.9, 0.1, 6, ws, e_out, l_out);
+  stage_fresh_row(ws, s.y, 0.1, 2);
+  low_rank_update_batch(s.basis, s.eigenvalues, 0.9, 1, 6, ws, e_out, l_out);
 
   Matrix e_ref;
   Vector l_ref;
-  low_rank_update(s.basis, s.eigenvalues, s.y, 0.9, 0.1, 6, &e_ref, &l_ref);
+  update_fresh(s, 0.9, 0.1, 6, e_ref, l_ref);
   EXPECT_EQ(e_out, e_ref);
   EXPECT_EQ(l_out, l_ref);
   for (std::size_t c = 3; c < 6; ++c) {
