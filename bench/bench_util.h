@@ -105,7 +105,8 @@ class CsvSeries {
     if (dir_.empty()) return;
     rows_.emplace_back();
     for (std::size_t i = 0; i < header.size(); ++i) {
-      rows_.back() += (i ? "," : "") + header[i];
+      if (i) rows_.back() += ',';
+      rows_.back() += header[i];
     }
   }
 
@@ -115,7 +116,8 @@ class CsvSeries {
     char buf[64];
     for (std::size_t i = 0; i < values.size(); ++i) {
       std::snprintf(buf, sizeof(buf), "%.10g", values[i]);
-      line += (i ? "," : "") + std::string(buf);
+      if (i) line += ',';
+      line += buf;
     }
     rows_.push_back(std::move(line));
   }

@@ -2,10 +2,11 @@
 //
 // The shapes mirror the hot paths: the low-rank eigensystem update (basis
 // projection plus a small core decomposition) for single tuples and
-// micro-batches, the core solvers on their own (secular vs Jacobi),
-// thin SVD of tall matrices (merges, init batch), symmetric eigensolve for
-// the merge/baseline paths, QR re-orthogonalization hygiene, and the
-// mat-vec kernels inside residual computation.
+// micro-batches, the core solvers on their own (secular for b = 1,
+// Householder + QL for micro-batch and merge cores), thin SVD of tall
+// matrices (batch PCA), the Jacobi symmetric eigensolve of the reference
+// paths, QR re-orthogonalization hygiene, and the mat-vec kernels inside
+// residual computation.
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +18,7 @@
 #include "linalg/qr.h"
 #include "linalg/rank_one_eig.h"
 #include "linalg/svd.h"
+#include "linalg/tridiag.h"
 #include "pca/incremental_pca.h"
 #include "stats/rng.h"
 
@@ -78,49 +80,56 @@ BENCHMARK(BM_LowRankUpdate)
     ->Args({2000, 10, 1});
 
 void BM_CoreSolve(benchmark::State& state) {
-  // The n x n core of one per-tuple update, K = [diag(√(αλ)) | z] with λ
-  // decaying as 2/(c+1) and the fresh column z carrying weight 1 − α,
-  // decomposed by the secular solver the update uses (solver 0) or by the
-  // one-sided Jacobi at the core tolerance 1e-14 (solver 1).
+  // The n x n core K = [[diag(√(αλ)), C], [0, T]] of one update with b
+  // fresh columns, λ decaying as 2/(c+1) and the fresh columns carrying
+  // weight 1 − α, decomposed by the solver the update kernel picks for it:
+  // the secular equation on diag(δ) + z zᵀ for b = 1, Householder + QL on
+  // K Kᵀ for b > 1.  The QL row times the eigensolve alone; forming K Kᵀ
+  // and the Rayleigh quotients are in BM_LowRankUpdate's b > 1 rows.
   const auto n = std::size_t(state.range(0));
-  const bool jacobi = state.range(1) != 0;
+  const auto b = std::size_t(state.range(1));
+  const std::size_t k = n - b;
   const double alpha = 1.0 - 1.0 / 1000.0;
   stats::Rng rng(9);
   linalg::Matrix core(n, n);
-  std::vector<double> delta(n, 0.0), z(n);
-  for (std::size_t c = 0; c + 1 < n; ++c) {
+  for (std::size_t c = 0; c < k; ++c) {
     core(c, c) = std::sqrt(alpha * 2.0 / double(c + 1));
-    delta[c] = core(c, c) * core(c, c);
   }
-  for (std::size_t r = 0; r < n; ++r) {
-    z[r] = std::sqrt(1.0 - alpha) * rng.gaussian();
-    core(r, n - 1) = z[r];
+  for (std::size_t c = k; c < n; ++c) {
+    for (std::size_t r = 0; r <= c; ++r) {
+      core(r, c) = std::sqrt(1.0 - alpha) * rng.gaussian();
+    }
   }
+  std::vector<double> delta(n, 0.0), z(n);
+  for (std::size_t c = 0; c < k; ++c) delta[c] = core(c, c) * core(c, c);
+  for (std::size_t r = 0; r < n; ++r) z[r] = core(r, n - 1);
+  const linalg::Matrix gram = core * core.transpose();
   linalg::RankOneEigWorkspace eig_ws;
-  linalg::SvdWorkspace svd_ws;
-  linalg::SvdOptions opts;
-  opts.tol = 1e-14;
+  linalg::TridiagWorkspace ql_ws;
   linalg::Matrix u;
   linalg::Vector values;
   for (auto _ : state) {
-    if (jacobi) {
-      linalg::svd_left_inplace(core, svd_ws, {&u, &values}, opts);
-    } else {
+    if (b == 1) {
       linalg::rank_one_eig(delta.data(), z.data(), n, eig_ws, u, values);
+    } else {
+      linalg::eig_sym_tridiag(gram, ql_ws, u, values);
     }
     benchmark::DoNotOptimize(u.data());
     benchmark::DoNotOptimize(values.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel(jacobi ? "jacobi" : "secular");
+  state.SetLabel(b == 1 ? "secular" : "ql");
 }
+// b = 1 at p + 1 = 8, 11, 21; micro-batches of 8 at k = 7 (tcp_d64) and
+// k = 10 (d = 250); a two-engine merge of rank-10 systems with its two
+// mean-correction columns (10 + 10 + 2).
 BENCHMARK(BM_CoreSolve)
-    ->Args({8, 0})
     ->Args({8, 1})
-    ->Args({11, 0})
     ->Args({11, 1})
-    ->Args({21, 0})
-    ->Args({21, 1});
+    ->Args({21, 1})
+    ->Args({15, 8})
+    ->Args({18, 8})
+    ->Args({22, 12});
 
 void BM_SvdFull(benchmark::State& state) {
   const auto d = std::size_t(state.range(0));

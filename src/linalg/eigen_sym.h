@@ -2,13 +2,12 @@
 
 // Symmetric eigendecomposition via the cyclic Jacobi rotation method.
 //
-// Used by the batch-PCA baseline (eigendecomposition of a d x d covariance)
-// and the exact eigensystem merge path (paper eq. 15), where the combined
-// covariance of two engines with different means is a full symmetric matrix.
-// Jacobi is slower than tridiagonalization+QL for very large d but is
-// simple, extremely accurate (it computes small eigenvalues to high relative
-// accuracy), and the matrices here are modest (d up to a few hundred for the
-// baseline; the hot path uses the low-rank SVD update instead).
+// Used by the exact-IPCA reference (eigendecomposition of its d x d second
+// moment) and as the reference solver in tests.  Jacobi is slower than
+// tridiagonalization+QL (linalg/tridiag.h) but simple and extremely
+// accurate (it computes small eigenvalues to high relative accuracy), and
+// the matrices here are modest (d up to a few hundred; the streaming
+// engines decompose only small update cores).
 
 #include "linalg/matrix.h"
 #include "linalg/vector.h"

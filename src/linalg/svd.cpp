@@ -196,15 +196,6 @@ void extract_and_sort(const ColView& w, const std::vector<double>* v,
 
 }  // namespace
 
-void SvdWorkspace::reserve(std::size_t m, std::size_t n) {
-  colmajor.reserve(m * n);
-  col_norms2.reserve(n);
-  norms.reserve(n);
-  order.reserve(n);
-  cand.reserve(m);
-  v_accum.reserve(n * n);
-}
-
 Matrix SvdResult::reconstruct() const {
   Matrix us = u;  // scale columns of U by singular values
   for (std::size_t c = 0; c < us.cols(); ++c) {
@@ -247,8 +238,7 @@ void svd_left_inplace(const Matrix& a, SvdWorkspace& workspace, ThinUView out,
   }
   if (a.empty()) throw std::invalid_argument("svd_left: empty matrix");
   if (a.rows() < a.cols()) {
-    // Wide input: fall back to the full (allocating) decomposition.  Never
-    // hit on the per-tuple path, where m = d >> n = p+1.
+    // Wide input: fall back to the full (allocating) decomposition.
     SvdResult full = svd(a, opts);
     *out.u = std::move(full.u);
     *out.singular_values = std::move(full.singular_values);

@@ -5,17 +5,15 @@
 // One-sided Jacobi orthogonalizes *columns* pairwise, costing O(m n^2) per
 // sweep for an m x n input — cheap for few columns — and is
 // backward-stable without forming A^T A explicitly at working precision.
-// The incremental PCA update (paper eq. 1-3) uses it only on a
-// micro-batch's small (p+b) x (p+b) core, after projecting the fresh
-// directions onto the basis (pca/incremental_pca.h); the per-tuple (b = 1)
-// core is diagonal plus rank one and goes to the secular solver
-// (linalg/rank_one_eig.h).  Merges, the init batch and the baselines
-// decompose their tall matrices with it directly.
+// It is the reference decomposition: batch PCA, principal angles and the
+// tests use it.  No streaming eigensystem goes through it — updates,
+// merges and the init batch decompose their small cores in
+// pca::low_rank_update_batch (linalg/rank_one_eig.h, linalg/tridiag.h).
 //
 // Two entry styles share one kernel:
 //   - svd()/svd_left(): value-returning, allocate their results — fine for
-//     merges, baselines and tests.
-//   - svd_left_inplace(): the hot-path form.  The caller owns an
+//     baselines and tests.
+//   - svd_left_inplace(): the allocation-free form.  The caller owns an
 //     SvdWorkspace (the persistent column-major scratch the rotations run
 //     on — columns contiguous, unlike the row-major Matrix layout) and a
 //     ThinUView of preallocated outputs; a steady-state call performs zero
@@ -65,10 +63,6 @@ struct SvdWorkspace {
   std::vector<std::size_t> order;   ///< descending sort permutation
   std::vector<double> cand;         ///< null-column completion scratch
   std::vector<double> v_accum;      ///< right-rotation accumulator (full svd)
-
-  /// Pre-grows every buffer for an m x n decomposition (optional — the
-  /// kernel sizes on demand; this just front-loads the one-time growth).
-  void reserve(std::size_t m, std::size_t n);
 };
 
 /// Destination of the in-place thin-U decomposition: preallocated caller
@@ -95,12 +89,11 @@ struct ThinUResult {
 };
 [[nodiscard]] ThinUResult svd_left(const Matrix& a, const SvdOptions& opts = {});
 
-/// Hot-path form of svd_left(): runs the Jacobi sweeps on the workspace's
-/// persistent column-major scratch and writes U / s into the caller's
-/// preallocated storage.  Zero heap allocations at steady state for tall
-/// and square inputs (m >= n); a wide input (m < n) falls back to the
-/// allocating full decomposition (never the case on the update path,
-/// whose core is square).
+/// Allocation-free form of svd_left(): runs the Jacobi sweeps on the
+/// workspace's persistent column-major scratch and writes U / s into the
+/// caller's preallocated storage.  Zero heap allocations at steady state
+/// for tall and square inputs (m >= n); a wide input (m < n) falls back to
+/// the allocating full decomposition.
 void svd_left_inplace(const Matrix& a, SvdWorkspace& workspace, ThinUView out,
                       const SvdOptions& opts = {});
 

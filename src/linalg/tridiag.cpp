@@ -2,21 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace astro::linalg {
 
-void householder_tridiagonalize(const Matrix& a, Vector* diag, Vector* offdiag,
-                                Matrix* q) {
-  if (a.rows() != a.cols()) {
-    throw std::invalid_argument("householder_tridiagonalize: must be square");
-  }
-  const std::size_t n = a.rows();
-  Matrix z = a;  // working copy; becomes the accumulated transform
-  Vector d(n), e(n);
+namespace {
 
-  // tred2 (with eigenvector accumulation), indices descending.
+// tred2: Householder reduction of the symmetric z to tridiagonal form, in
+// place, indices descending.  On return z holds the accumulated orthogonal
+// transform Q with a = Q T Qᵀ, d the diagonal of T and e its subdiagonal
+// (e[0] unused).
+void householder_tridiagonalize(Matrix& z, double* d, double* e) {
+  const std::size_t n = z.rows();
   for (std::size_t i = n; i-- > 1;) {
     const std::size_t l = i - 1;
     double h = 0.0;
@@ -75,59 +73,51 @@ void householder_tridiagonalize(const Matrix& a, Vector* diag, Vector* offdiag,
       z(i, j) = 0.0;
     }
   }
-
-  *diag = std::move(d);
-  *offdiag = std::move(e);
-  *q = std::move(z);
 }
 
-void tridiagonal_ql(Vector& diag, Vector& offdiag, Matrix& q) {
-  const std::size_t n = diag.size();
-  if (offdiag.size() != n || q.rows() != n || q.cols() != n) {
-    throw std::invalid_argument("tridiagonal_ql: inconsistent sizes");
-  }
-  if (n == 0) return;
-
-  // tql2: shift the subdiagonal up by one for the classic indexing.
-  for (std::size_t i = 1; i < n; ++i) offdiag[i - 1] = offdiag[i];
-  offdiag[n - 1] = 0.0;
+// tql2: implicit-shift QL on the tridiagonal (d, e); the rotations
+// accumulate into the columns of q.  On return d holds the eigenvalues,
+// unsorted.
+void tridiagonal_ql(double* d, double* e, Matrix& q) {
+  const std::size_t n = q.rows();
+  // Shift the subdiagonal up by one for the classic indexing.
+  for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
+  e[n - 1] = 0.0;
 
   for (std::size_t l = 0; l < n; ++l) {
     int iter = 0;
     std::size_t m;
     do {
       for (m = l; m + 1 < n; ++m) {
-        const double dd = std::abs(diag[m]) + std::abs(diag[m + 1]);
-        if (std::abs(offdiag[m]) <= 1e-300 ||
-            std::abs(offdiag[m]) <= 2.3e-16 * dd) {
+        const double dd = std::abs(d[m]) + std::abs(d[m + 1]);
+        if (std::abs(e[m]) <= 1e-300 || std::abs(e[m]) <= 2.3e-16 * dd) {
           break;
         }
       }
+      // Only non-finite entries keep the iteration from converging.
+      if (m != l && ++iter > 50) m = l;
       if (m != l) {
-        if (++iter > 50) {
-          throw std::runtime_error("tridiagonal_ql: no convergence");
-        }
-        double g = (diag[l + 1] - diag[l]) / (2.0 * offdiag[l]);
+        double g = (d[l + 1] - d[l]) / (2.0 * e[l]);
         double r = std::hypot(g, 1.0);
-        g = diag[m] - diag[l] +
-            offdiag[l] / (g + (g >= 0.0 ? std::abs(r) : -std::abs(r)));
+        g = d[m] - d[l] +
+            e[l] / (g + (g >= 0.0 ? std::abs(r) : -std::abs(r)));
         double s = 1.0, c = 1.0, p = 0.0;
         for (std::size_t i = m; i-- > l;) {
-          double f = s * offdiag[i];
-          const double b = c * offdiag[i];
+          double f = s * e[i];
+          const double b = c * e[i];
           r = std::hypot(f, g);
-          offdiag[i + 1] = r;
+          e[i + 1] = r;
           if (r == 0.0) {
-            diag[i + 1] -= p;
-            offdiag[m] = 0.0;
+            d[i + 1] -= p;
+            e[m] = 0.0;
             break;
           }
           s = f / r;
           c = g / r;
-          g = diag[i + 1] - p;
-          r = (diag[i] - g) * s + 2.0 * c * b;
+          g = d[i + 1] - p;
+          r = (d[i] - g) * s + 2.0 * c * b;
           p = s * r;
-          diag[i + 1] = g + p;
+          d[i + 1] = g + p;
           g = c * r - b;
           for (std::size_t k = 0; k < n; ++k) {
             f = q(k, i + 1);
@@ -136,41 +126,44 @@ void tridiagonal_ql(Vector& diag, Vector& offdiag, Matrix& q) {
           }
         }
         if (r == 0.0 && m - l > 1) continue;
-        diag[l] -= p;
-        offdiag[l] = g;
-        offdiag[m] = 0.0;
+        d[l] -= p;
+        e[l] = g;
+        e[m] = 0.0;
       }
     } while (m != l);
   }
 }
 
-EigResult eig_sym_tridiag(const Matrix& a) {
-  Vector d, e;
-  Matrix q;
-  householder_tridiagonalize(a, &d, &e, &q);
-  tridiagonal_ql(d, e, q);
+}  // namespace
 
-  const std::size_t n = d.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t i, std::size_t j) { return d[i] > d[j]; });
-
-  EigResult out;
-  out.values = Vector(n);
-  out.vectors = Matrix(n, n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t c = order[k];
-    out.values[k] = d[c];
-    for (std::size_t r = 0; r < n; ++r) out.vectors(r, k) = q(r, c);
+void eig_sym_tridiag(const Matrix& a, TridiagWorkspace& ws, Matrix& vectors,
+                     Vector& values) {
+  if (a.rows() != a.cols()) {
+    throw std::invalid_argument("eig_sym_tridiag: must be square");
   }
-  return out;
-}
+  const std::size_t n = a.rows();
+  if (&vectors != &a) {
+    vectors.resize_no_shrink(n, n);
+    std::copy(a.data(), a.data() + n * n, vectors.data());
+  }
+  values.resize_no_shrink(n);
+  if (n == 0) return;
+  ws.reserve(n);
+  householder_tridiagonalize(vectors, values.data(), ws.offdiag.data());
+  tridiagonal_ql(values.data(), ws.offdiag.data(), vectors);
 
-EigResult eig_sym_auto(const Matrix& a) {
-  constexpr std::size_t kJacobiCutoff = 64;
-  if (a.rows() <= kJacobiCutoff) return eig_sym(a);
-  return eig_sym_tridiag(a);
+  // Selection sort, descending: at most n - 1 column swaps, no allocation.
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    std::size_t best = i;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (values[j] > values[best]) best = j;
+    }
+    if (best == i) continue;
+    std::swap(values[i], values[best]);
+    for (std::size_t r = 0; r < n; ++r) {
+      std::swap(vectors(r, i), vectors(r, best));
+    }
+  }
 }
 
 }  // namespace astro::linalg

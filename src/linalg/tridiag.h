@@ -1,41 +1,48 @@
 #pragma once
 
-// Householder tridiagonalization + implicit-shift QL: the O(n³)-with-small-
-// constant symmetric eigensolver for larger matrices.
+// Householder tridiagonalization + implicit-shift QL: the symmetric
+// eigensolver of the streaming update's micro-batch, merge and init cores.
 //
-// Cyclic Jacobi (eigen_sym.h) is simple and extremely accurate but its
-// constant grows painful past n ≈ 100; the batch-PCA baseline and the dense
-// reference paths in the benchmarks want d up to a few thousand.  This is
-// the classical EISPACK tred2/tql2 pair (Numerical Recipes form),
-// implemented from scratch.
+// Those cores arrive as a small n x n K with upper-triangular structure,
+// and the update wants the eigensystem of K Kᵀ (pca/incremental_pca.h).
+// Householder + QL finishes in a fixed number of O(n³) passes and has no
+// trouble with the null directions that rank-deficient cores carry
+// (collinear merge means, rejected batch slots, more fresh columns than
+// dimensions), where one-sided Jacobi sweeps to its cap.  This is the
+// classical EISPACK tred2/tql2 pair (Numerical Recipes form), implemented
+// from scratch, running in the caller's storage so a warm call performs no
+// heap allocation.  Cyclic Jacobi (eigen_sym.h) stays the reference solver.
 
-#include "linalg/eigen_sym.h"
+#include <cstddef>
+#include <vector>
+
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 
 namespace astro::linalg {
 
-/// Householder reduction of symmetric `a` to tridiagonal form.
-/// On return: `diag` holds the diagonal, `offdiag` the subdiagonal
-/// (offdiag[0] unused), and `q` the accumulated orthogonal transform with
-/// a = q * tridiag * q^T.
-void householder_tridiagonalize(const Matrix& a, Vector* diag, Vector* offdiag,
-                                Matrix* q);
+/// Caller-owned scratch for eig_sym_tridiag(): the subdiagonal of the
+/// tridiagonal form.  Grows to the high-water size, never shrinks and
+/// carries no state between calls.  Not thread-safe: one per thread.
+struct TridiagWorkspace {
+  std::vector<double> offdiag;
 
-/// Implicit-shift QL on a tridiagonal system; rotations accumulate into the
-/// columns of `q` (pass the output of householder_tridiagonalize, or
-/// identity to get tridiagonal eigenvectors).  On return `diag` holds the
-/// eigenvalues (unsorted).  Throws std::runtime_error if an eigenvalue
-/// fails to converge in 50 iterations (does not happen for finite input).
-void tridiagonal_ql(Vector& diag, Vector& offdiag, Matrix& q);
+  /// Sizes the buffer for an n x n problem.
+  void reserve(std::size_t n) {
+    if (offdiag.size() < n) offdiag.resize(n);
+  }
+};
 
-/// Full symmetric eigendecomposition via tridiagonalization, sorted
-/// descending — the same contract as eig_sym() but O(4/3 n³) instead of
-/// Jacobi's larger constant.  Preferred for n over ~64.
-[[nodiscard]] EigResult eig_sym_tridiag(const Matrix& a);
-
-/// Dispatcher: Jacobi for small n (highest relative accuracy), tridiagonal
-/// QL for large n (speed).
-[[nodiscard]] EigResult eig_sym_auto(const Matrix& a);
+/// Eigendecomposition a = V diag(w) Vᵀ of the symmetric n x n matrix `a`:
+/// eigenvalues sorted descending into `values` (size n), orthonormal
+/// eigenvectors as the columns of `vectors` (n x n).  `vectors` may be `a`
+/// itself, which is then decomposed in place.  Outputs are resized
+/// no-shrink and fully rewritten; zero heap allocations once `ws` and the
+/// outputs have reached size n.  Throws std::invalid_argument for
+/// non-square input.  Non-finite input yields non-finite output rather
+/// than an exception (the QL iteration gives up on an eigenvalue after 50
+/// steps, which finite input never reaches).
+void eig_sym_tridiag(const Matrix& a, TridiagWorkspace& ws, Matrix& vectors,
+                     Vector& values);
 
 }  // namespace astro::linalg

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "linalg/rank_one_eig.h"
 #include "linalg/simd.h"
-#include "linalg/svd.h"
+#include "linalg/tridiag.h"
 
 namespace astro::pca {
 
@@ -75,6 +76,45 @@ void complete_direction(const linalg::Matrix& w, std::size_t m, double* v,
   scale(v, 1.0 / project_out(w, m, v, tmp, nullptr, 0), d);
 }
 
+// Eigenpairs of K Kᵀ for the n x n core K in ws.core into ws.core_u /
+// ws.core_lambda, descending.  K is upper triangular, so
+// (K Kᵀ)(i, j) = Σ_{l ≥ max(i, j)} K(i, l) K(j, l).  The QL eigenvalues of
+// K Kᵀ are only accurate to rounding of its largest one, which leaves null
+// directions at ~1e-16·λ_max; each λ is therefore taken as the Rayleigh
+// quotient ‖Kᵀu‖² on K itself, which carries K's rounding squared, and the
+// pairs are re-sorted by it.  The QL order is already descending up to
+// that rounding, so the insertion sort moves almost nothing.
+void core_eig(UpdateWorkspace& ws, std::size_t n) {
+  const linalg::Matrix& core = ws.core;
+  linalg::Matrix& u = ws.core_u;
+  linalg::Vector& lambda = ws.core_lambda;
+  u.resize_no_shrink(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double s = 0.0;
+      for (std::size_t l = i; l < n; ++l) s += core(i, l) * core(j, l);
+      u(i, j) = s;
+      u(j, i) = s;
+    }
+  }
+  linalg::eig_sym_tridiag(u, ws.tridiag, u, lambda);
+  for (std::size_t c = 0; c < n; ++c) {
+    double norm2 = 0.0;
+    for (std::size_t l = 0; l < n; ++l) {
+      double t = 0.0;
+      for (std::size_t i = 0; i <= l; ++i) t += core(i, l) * u(i, c);
+      norm2 += t * t;
+    }
+    lambda[c] = norm2;
+  }
+  for (std::size_t c = 1; c < n; ++c) {
+    for (std::size_t j = c; j > 0 && lambda[j] > lambda[j - 1]; --j) {
+      std::swap(lambda[j], lambda[j - 1]);
+      for (std::size_t r = 0; r < n; ++r) std::swap(u(r, j), u(r, j - 1));
+    }
+  }
+}
+
 }  // namespace
 
 void low_rank_update_batch(const linalg::Matrix& basis,
@@ -121,12 +161,7 @@ void low_rank_update_batch(const linalg::Matrix& basis,
   // One tuple: K Kᵀ = diag(δ) + z zᵀ with δ = (K(0,0)², …, K(k-1,k-1)², 0)
   // and z = column k of K, so the secular equation gives λ and U_K in
   // O(k²), U_K orthonormal to rounding (linalg/rank_one_eig.h).  A
-  // micro-batch core has b dense columns and goes to Jacobi, whose stopping
-  // rule bounds U_K's loss of orthogonality by `tol`; E_new inherits it
-  // until the next QR.  At the default 1e-12 the basis would drift past
-  // 1e-11 between QRs and later tall decompositions (merges) would rotate
-  // its columns back into orthogonality; 1e-14 keeps it below 1e-12 for a
-  // few percent more core time.
+  // micro-batch core has b dense columns: K Kᵀ goes to Householder + QL.
   if (batch == 1) {
     ws.poles.resize_no_shrink(n);
     for (std::size_t c = 0; c < k; ++c) {
@@ -138,14 +173,7 @@ void low_rank_update_batch(const linalg::Matrix& basis,
     linalg::rank_one_eig(ws.poles.data(), ws.coeffs.data(), n, ws.rank_one,
                          ws.core_u, ws.core_lambda);
   } else {
-    linalg::SvdOptions core_opts;
-    core_opts.tol = 1e-14;
-    linalg::svd_left_inplace(ws.core, ws.svd,
-                             linalg::ThinUView{&ws.core_u, &ws.core_lambda},
-                             core_opts);
-    for (std::size_t c = 0; c < n; ++c) {
-      ws.core_lambda[c] *= ws.core_lambda[c];
-    }
+    core_eig(ws, n);
   }
 
   // E_new = [E | Q] U_K[:, :p], one axpy per (output, input) row pair, then
@@ -264,28 +292,24 @@ void IncrementalPca::initialize_from_buffer() {
   mean *= 1.0 / double(n);
 
   {
-    // Columns of Y are centered observations / sqrt(n); eigensystem of the
-    // sample covariance is the left SVD of Y.  Scoped so the d x n batch
-    // matrix and its factors are freed before the replay below — the
-    // engine's long-lived footprint should be the eigensystem plus one
-    // workspace, not the init batch.
-    linalg::Matrix y(d, n);
+    // The sample covariance is A Aᵀ for the centered observations / √n as
+    // fresh columns: a k = 0 batch update of an empty eigensystem.  Scoped
+    // so the n-column workspace is freed before the replay below — the
+    // engine's long-lived footprint is the eigensystem plus a workspace
+    // sized for its own updates, not for the init batch.
+    UpdateWorkspace init_ws;
+    init_ws.ensure(d, n);
+    const double inv_sqrt_n = 1.0 / std::sqrt(double(n));
     for (std::size_t c = 0; c < n; ++c) {
+      const auto f = init_ws.a.row_span(c);
       for (std::size_t r = 0; r < d; ++r) {
-        y(r, c) = (init_buffer_[c][r] - mean[r]) / std::sqrt(double(n));
+        f[r] = (init_buffer_[c][r] - mean[r]) * inv_sqrt_n;
       }
     }
-    const linalg::ThinUResult svd = linalg::svd_left(y);
-
-    linalg::Matrix basis(d, config_.rank);
-    linalg::Vector lambda(config_.rank);
-    const std::size_t keep =
-        std::min(config_.rank, svd.singular_values.size());
-    for (std::size_t c = 0; c < keep; ++c) {
-      lambda[c] = svd.singular_values[c] * svd.singular_values[c];
-      for (std::size_t r = 0; r < d; ++r) basis(r, c) = svd.u(r, c);
-    }
-
+    linalg::Matrix basis;
+    linalg::Vector lambda;
+    low_rank_update_batch(linalg::Matrix(d, 0), linalg::Vector(), 1.0, n,
+                          config_.rank, init_ws, basis, lambda);
     system_ = EigenSystem(std::move(mean), std::move(basis),
                           std::move(lambda), 0.0,
                           stats::RobustRunningSums(config_.alpha), 0);

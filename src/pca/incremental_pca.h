@@ -20,11 +20,13 @@
 // decomposition and an O(d p²) rotation, with no sweep over the d rows.
 // K Kᵀ = diag(γλ, 0) + z zᵀ with z = (c, ρ) is diagonal plus rank one, so
 // its eigenpairs come from the secular equation in O(p²)
-// (linalg/rank_one_eig.h).
+// (linalg/rank_one_eig.h); a micro-batch's wider core goes to Householder
+// + QL (linalg/tridiag.h).
 //
 // There is one update path: observe(x) is a micro-batch of one, and every
 // batch stages its weighted fresh rows in the workspace and makes one call
-// to low_rank_update_batch, the kernel below.
+// to low_rank_update_batch, the kernel below.  The init batch is the same
+// call on an empty eigensystem.
 //
 // This is both the Figure-1 "classical" baseline (sensitive to outliers)
 // and the skeleton the robust variant builds on.
@@ -42,8 +44,9 @@ struct IncrementalPcaConfig {
   std::size_t dim = 0;     ///< data dimensionality d
   std::size_t rank = 5;    ///< retained components p
   double alpha = 1.0;      ///< forgetting factor (1 = infinite memory)
-  /// Observations buffered before the eigensystem is initialized by a small
-  /// batch decomposition ("the initial set is kept small", §III-C).
+  /// Observations buffered before the eigensystem is initialized by one
+  /// batch update of an empty eigensystem ("the initial set is kept
+  /// small", §III-C).
   std::size_t init_count = 10;
 };
 
@@ -104,17 +107,23 @@ class IncrementalPca {
   bool init_done_ = false;
 };
 
-/// The update kernel, for `batch` >= 1 fresh directions: the top-`p` left
-/// singular system of A = [ E √(history_scale·Λ) | f_1 | ... | f_b ]
-/// (d x (k+b)), without forming A.  It copies E into rows [0, k) of ws.a,
-/// CGS2-projects each f_i against E and the residual directions before it
-/// (the coefficients fill column k+i of the (k+b) x (k+b) core K, the
-/// normalized residual replaces f_i), decomposes K — for batch = 1 as
-/// the diagonal-plus-rank-one eigenproblem K Kᵀ (linalg::rank_one_eig),
-/// for batch > 1 with svd_left_inplace — and rotates E_new =
-/// [E Q] U_K[:, :p], λ = the eigenvalues of K Kᵀ.  A residual at rounding
-/// level (f_i in the span, zero, or a repeat) gets ρ_i = 0 and a unit
-/// direction completing [E Q], so the output stays orthonormal.
+/// The update kernel, and the only place a streaming eigensystem is
+/// decomposed: the top-`p` left singular system of
+/// A = [ E √(history_scale·Λ) | f_1 | ... | f_b ] (d x (k+b)), without
+/// forming A.  Tuples and micro-batches, merges (pca/merge.h: system 0 is
+/// E, the others' scaled eigenvectors and the mean corrections are the
+/// f_i) and the init batch (k = 0, an empty eigensystem) all call it.  It
+/// copies the orthonormal E into rows [0, k) of ws.a, CGS2-projects each
+/// f_i against E and the residual directions before it (the coefficients
+/// fill column k+i of the upper-triangular (k+b) x (k+b) core K, the
+/// normalized residual replaces f_i), takes the eigensystem of K Kᵀ — for
+/// batch = 1 as diagonal plus rank one (linalg::rank_one_eig), otherwise
+/// by Householder + QL (linalg::eig_sym_tridiag) with each λ recomputed
+/// as the Rayleigh quotient ‖Kᵀu‖² on K — and rotates E_new =
+/// [E Q] U_K[:, :p].  A residual at rounding level (f_i in the span, zero,
+/// or a repeat) gets ρ_i = 0 and a unit direction completing [E Q], so the
+/// output stays orthonormal; once [E Q] spans R^d there is nothing left to
+/// complete and the row stays zero, an exact null direction of K Kᵀ.
 /// Caller contract: ws.a is already resized to (k+batch) x d and its rows
 /// [k, k+batch) hold the fresh directions, each pre-scaled by the square
 /// root of its blended weight (see IncrementalPca::observe_batch for the

@@ -1,41 +1,44 @@
 #include "pca/merge.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
 
-#include "linalg/svd.h"
 #include "pca/continuity.h"
+#include "pca/incremental_pca.h"
 
 namespace astro::pca {
 
-EigenSystem merge(std::span<const EigenSystem> systems,
-                  const MergeOptions& opts) {
-  if (systems.empty()) throw std::invalid_argument("merge: no systems");
-  const std::size_t d = systems[0].dim();
-  const std::size_t k = systems.size();
+namespace {
+
+// The one merge body; both public overloads hand it pointers, so merging
+// a pair copies neither system.
+EigenSystem merge_systems(const EigenSystem* const* systems, std::size_t k,
+                          const MergeOptions& opts) {
+  if (k == 0) throw std::invalid_argument("merge: no systems");
+  const std::size_t d = systems[0]->dim();
 
   std::size_t rank_out = opts.rank_out;
-  std::size_t total_cols = 0;
-  for (const EigenSystem& s : systems) {
-    if (s.dim() != d) throw std::invalid_argument("merge: dim mismatch");
-    rank_out = std::max(rank_out, opts.rank_out != 0 ? opts.rank_out : s.rank());
-    total_cols += s.rank();
+  for (std::size_t i = 0; i < k; ++i) {
+    if (systems[i]->dim() != d) {
+      throw std::invalid_argument("merge: dim mismatch");
+    }
+    if (opts.rank_out == 0) rank_out = std::max(rank_out, systems[i]->rank());
   }
-  if (!opts.assume_equal_means) total_cols += k;
 
   // Combination weights from the robust running weight sums v_i, falling
   // back to raw counts when no weight has accumulated yet.
   std::vector<double> gamma(k);
   double vsum = 0.0;
   for (std::size_t i = 0; i < k; ++i) {
-    gamma[i] = systems[i].sums().v();
+    gamma[i] = systems[i]->sums().v();
     vsum += gamma[i];
   }
   if (vsum <= 0.0) {
     vsum = 0.0;
     for (std::size_t i = 0; i < k; ++i) {
-      gamma[i] = double(systems[i].observations());
+      gamma[i] = double(systems[i]->observations());
       vsum += gamma[i];
     }
   }
@@ -44,45 +47,50 @@ EigenSystem merge(std::span<const EigenSystem> systems,
 
   // Pooled mean.
   linalg::Vector mean(d);
-  for (std::size_t i = 0; i < k; ++i) mean.axpy(gamma[i], systems[i].mean());
+  for (std::size_t i = 0; i < k; ++i) mean.axpy(gamma[i], systems[i]->mean());
 
-  // Stack the scaled eigenvector blocks (and mean-correction columns) into
-  // the low-rank A and decompose once.
-  linalg::Matrix a(d, total_cols);
-  std::size_t col = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const EigenSystem& s = systems[i];
-    for (std::size_t c = 0; c < s.rank(); ++c, ++col) {
+  // One more low-rank update: system 0 is the basis with history scale γ₀,
+  // and the other systems' scaled eigenvectors Eᵢ√(γᵢΛᵢ) plus the
+  // mean-correction columns (µᵢ − µ)√γᵢ are its fresh rows.  The mean
+  // columns are collinear (Σ γᵢ(µᵢ − µ) = 0), and the kernel completes
+  // the one that lands in the span with a ρ = 0 direction.
+  const EigenSystem& base = *systems[0];
+  const std::size_t k0 = base.rank();
+  std::size_t fresh = opts.assume_equal_means ? 0 : k;
+  for (std::size_t i = 1; i < k; ++i) fresh += systems[i]->rank();
+  UpdateWorkspace ws;
+  ws.ensure(d, k0 + fresh);
+  std::size_t row = k0;
+  for (std::size_t i = 1; i < k; ++i) {
+    const EigenSystem& s = *systems[i];
+    for (std::size_t c = 0; c < s.rank(); ++c, ++row) {
       const double scale =
           std::sqrt(std::max(0.0, gamma[i] * s.eigenvalues()[c]));
-      for (std::size_t r = 0; r < d; ++r) a(r, col) = s.basis()(r, c) * scale;
+      const auto f = ws.a.row_span(row);
+      for (std::size_t r = 0; r < d; ++r) f[r] = s.basis()(r, c) * scale;
     }
   }
   if (!opts.assume_equal_means) {
-    for (std::size_t i = 0; i < k; ++i, ++col) {
+    for (std::size_t i = 0; i < k; ++i, ++row) {
       const double scale = std::sqrt(gamma[i]);
+      const auto f = ws.a.row_span(row);
       for (std::size_t r = 0; r < d; ++r) {
-        a(r, col) = (systems[i].mean()[r] - mean[r]) * scale;
+        f[r] = (systems[i]->mean()[r] - mean[r]) * scale;
       }
     }
   }
-
-  const linalg::ThinUResult svd = linalg::svd_left(a);
-
-  linalg::Matrix basis(d, rank_out);
-  linalg::Vector lambda(rank_out);
-  const std::size_t keep = std::min(rank_out, svd.singular_values.size());
-  for (std::size_t c = 0; c < keep; ++c) {
-    lambda[c] = svd.singular_values[c] * svd.singular_values[c];
-    for (std::size_t r = 0; r < d; ++r) basis(r, c) = svd.u(r, c);
-  }
+  linalg::Matrix basis;
+  linalg::Vector lambda;
+  low_rank_update_batch(base.basis(), base.eigenvalues(), gamma[0], fresh,
+                        rank_out, ws, basis, lambda);
 
   // Pool the running sums (independent partitions add) and the scale
   // (u-weighted so engines that absorbed more data dominate).
-  stats::RobustRunningSums sums(systems[0].sums().alpha());
+  stats::RobustRunningSums sums(base.sums().alpha());
   double usum = 0.0, sigma2 = 0.0;
   std::uint64_t observations = 0;
-  for (const EigenSystem& s : systems) {
+  for (std::size_t i = 0; i < k; ++i) {
+    const EigenSystem& s = *systems[i];
     sums.absorb(s.sums());
     usum += s.sums().u();
     sigma2 += s.sums().u() * s.sigma2();
@@ -91,8 +99,8 @@ EigenSystem merge(std::span<const EigenSystem> systems,
   sigma2 = usum > 0.0 ? sigma2 / usum : 0.0;
 
   // Merge is a publish boundary (sync installs, pooled serve snapshots,
-  // final results): pin the SVD's arbitrary per-column signs to the
-  // deterministic convention so merged bases are reproducible across
+  // final results): pin the decomposition's arbitrary per-column signs to
+  // the deterministic convention so merged bases are reproducible across
   // runs and restarts (pca/continuity.h).
   apply_sign_convention(basis);
 
@@ -100,10 +108,19 @@ EigenSystem merge(std::span<const EigenSystem> systems,
                      sigma2, sums, observations);
 }
 
+}  // namespace
+
+EigenSystem merge(std::span<const EigenSystem> systems,
+                  const MergeOptions& opts) {
+  std::vector<const EigenSystem*> ptrs(systems.size());
+  for (std::size_t i = 0; i < systems.size(); ++i) ptrs[i] = &systems[i];
+  return merge_systems(ptrs.data(), ptrs.size(), opts);
+}
+
 EigenSystem merge(const EigenSystem& a, const EigenSystem& b,
                   const MergeOptions& opts) {
-  const EigenSystem pair[] = {a, b};
-  return merge(std::span<const EigenSystem>(pair, 2), opts);
+  const EigenSystem* const pair[] = {&a, &b};
+  return merge_systems(pair, 2, opts);
 }
 
 }  // namespace astro::pca

@@ -9,12 +9,15 @@
 //
 //   C = Σᵢ γᵢ Cᵢ + Σᵢ γᵢ (µᵢ − µ)(µᵢ − µ)ᵀ                    (eq. 15)
 //
-// Both terms are low rank when the Cᵢ are truncated eigensystems, so the
-// combination decomposes through the same A Aᵀ trick as the streaming
-// update:  A = [ Eᵢ √(γᵢ Λᵢ) ... | (µᵢ − µ)√γᵢ ... ].   When the means are
-// approximately equal the mean-correction columns vanish — dropping them is
-// the paper's eq. (16) fast path, which "speeds up the synchronization step
-// and allows for frequent evaluations even for high-dimensional input".
+// Both terms are low rank when the Cᵢ are truncated eigensystems, so C is
+// A Aᵀ for  A = [ Eᵢ √(γᵢ Λᵢ) ... | (µᵢ − µ)√γᵢ ... ]  — the shape of the
+// streaming update, and the merge is one more call to its kernel
+// (low_rank_update_batch, pca/incremental_pca.h): system 0 is the basis
+// with history scale γ₀, every other column a fresh row.  The core is
+// (Σ ranks + k)², whatever d is.  When the means are approximately equal
+// the mean-correction columns vanish — dropping them is the paper's
+// eq. (16) fast path, which "speeds up the synchronization step and allows
+// for frequent evaluations even for high-dimensional input".
 
 #include <span>
 

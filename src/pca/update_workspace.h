@@ -17,9 +17,12 @@
 // matrix A of eq. (1)-(3).  It projects the b fresh columns onto the
 // basis, orthonormalizes their residuals, and decomposes only the
 // (k+b) x (k+b) core — for one tuple (b = 1) as the rank-one eigenproblem
-// diag(δ) + z zᵀ, for a micro-batch with Jacobi; the d-long buffers below
-// are the columns that projection and the final rotation stream over,
-// stored one per row so every pass is a contiguous SIMD dot/axpy.
+// diag(δ) + z zᵀ, for a micro-batch as the symmetric K Kᵀ by Householder +
+// QL; the d-long buffers below are the columns that projection and the
+// final rotation stream over, stored one per row so every pass is a
+// contiguous SIMD dot/axpy.  Merges and the init batch run the same kernel
+// on a workspace of their own, so their one-off shapes never grow an
+// engine's.
 //
 // Not thread-safe: a workspace belongs to the single thread driving its
 // engine, matching the one-engine-one-thread execution model of the
@@ -29,7 +32,7 @@
 
 #include "linalg/matrix.h"
 #include "linalg/rank_one_eig.h"
-#include "linalg/svd.h"
+#include "linalg/tridiag.h"
 #include "linalg/vector.h"
 
 namespace astro::pca {
@@ -41,7 +44,8 @@ struct UpdateWorkspace {
   linalg::Matrix a;
   linalg::Matrix u;             ///< [E | Q] U_K, one output column per row
   linalg::Matrix core;          ///< (k+b) x (k+b) core K
-  linalg::Matrix core_u;        ///< left singular vectors U_K of the core
+  /// Eigenvectors U_K of K Kᵀ; for a micro-batch it first holds K Kᵀ.
+  linalg::Matrix core_u;
   linalg::Vector core_lambda;   ///< eigenvalues of K Kᵀ, descending
   linalg::Vector y;             ///< centered observation x - mu
   /// E^T y; projection coefficients of one pass.  On the per-tuple path it
@@ -49,7 +53,7 @@ struct UpdateWorkspace {
   linalg::Vector coeffs;
   linalg::Vector poles;         ///< δ_i = K(i,i)², the b = 1 solver's input
   linalg::RankOneEigWorkspace rank_one;  ///< secular scratch (b = 1 core)
-  linalg::SvdWorkspace svd;     ///< Jacobi scratch for the b > 1 core
+  linalg::TridiagWorkspace tridiag;      ///< QL scratch (b > 1 core)
   /// Micro-batch scalar scratch (DESIGN.md "Micro-batching"): one slot per
   /// batched tuple for the history coefficient γ̂_j and the fresh weight of
   /// the tuple's row of `a`.  Sized by ensure()'s `cols` like everything
@@ -74,7 +78,7 @@ struct UpdateWorkspace {
     coeffs.resize_no_shrink(cols);
     poles.resize_no_shrink(cols);
     rank_one.reserve(cols);
-    svd.reserve(cols, cols);
+    tridiag.reserve(cols);
     batch_gammas.resize_no_shrink(cols);
     batch_weights.resize_no_shrink(cols);
   }

@@ -63,7 +63,11 @@ inline void* counted_alloc(std::size_t size, std::align_val_t align) {
   if (size == 0) size = 1;
   return std::aligned_alloc(static_cast<std::size_t>(align), size);
 }
-inline void counted_free(void* p) noexcept {
+// Kept out of line: inlined into a call site of the replaced `operator
+// delete`, the free() would sit next to the `operator new` that allocated
+// the pointer, and GCC's -Wmismatched-new-delete flags that legal pairing
+// (the replacement `operator new` above is malloc) once per call site.
+[[gnu::noinline]] inline void counted_free(void* p) noexcept {
   g_dealloc_calls.fetch_add(1, std::memory_order_relaxed);
   std::free(p);
 }

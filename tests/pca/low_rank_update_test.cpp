@@ -1,5 +1,6 @@
-// The projection kernel low_rank_update_batch, the one update entry point,
-// pinned against a reference built here: the d x (k+b) matrix
+// The projection kernel low_rank_update_batch, the one update entry point
+// (tuples, micro-batches, merges and the init batch), pinned against a
+// reference built here: the d x (k+b) matrix
 //   A = [ E sqrt(h Λ) | F ]
 // assembled explicitly and decomposed with svd_left.  The kernel never
 // forms A — it projects F onto E, orthonormalizes the residual block and
@@ -30,7 +31,13 @@ using linalg::Vector;
 using stats::Rng;
 namespace simd = linalg::simd;
 
-enum class Edge { kNone, kInSpan, kZeroColumn, kDuplicateColumns };
+enum class Edge {
+  kNone,
+  kInSpan,
+  kZeroColumn,
+  kDuplicateColumns,
+  kOpposedColumns,  // f_b = -f_{b-1}: a merge's two mean-correction columns
+};
 
 struct Problem {
   Matrix basis;  // d x k, orthonormal
@@ -67,6 +74,9 @@ Problem make_problem(std::uint64_t seed, std::size_t d, std::size_t k,
       break;
     case Edge::kDuplicateColumns:
       pr.fresh.set_col(b - 1, pr.fresh.col(0));
+      break;
+    case Edge::kOpposedColumns:
+      pr.fresh.set_col(b - 1, pr.fresh.col(b - 2) * -1.0);
       break;
   }
   return pr;
@@ -117,9 +127,10 @@ Matrix leading_columns(const Matrix& m, std::size_t n) {
 }
 
 // Eigenvalues to 1e-10 relative (relative to the largest for the ones at
-// rounding level), |cos| >= 1 - 1e-10 per column whose eigenvalue is
-// separated from both neighbours, orthonormal output columns, and an exact
-// zero tail when p exceeds the k+b columns available.
+// rounding level) and in descending order, |cos| >= 1 - 1e-10 per column
+// whose eigenvalue is separated from both neighbours, orthonormal output
+// columns, and an exact zero tail when p exceeds the k+b columns
+// available.
 void expect_matches_reference(const Problem& pr, std::size_t p,
                               const std::string& what) {
   const Update got = run_kernel(pr, p);
@@ -149,6 +160,9 @@ void expect_matches_reference(const Problem& pr, std::size_t p,
     }
     EXPECT_GE(std::abs(cos), 1.0 - 1e-10) << what << " column " << c;
   }
+  for (std::size_t c = 1; c < p; ++c) {
+    EXPECT_GE(got.lambda[c - 1], got.lambda[c]) << what << " order " << c;
+  }
   EXPECT_LT(linalg::orthonormality_error(leading_columns(got.basis, keep)),
             1e-12)
       << what;
@@ -167,13 +181,17 @@ std::string label(std::uint64_t seed, std::size_t d, std::size_t k,
          " p=" + std::to_string(p);
 }
 
+// k = 0 is the init batch (an empty eigensystem), and b = 16 has more
+// columns than d = 12 has dimensions, as a many-system merge does.
 TEST(LowRankKernel, MatchesExplicitSvdOfA) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     for (std::size_t d : {12, 64, 250}) {
-      for (std::size_t b : {1, 3, 8}) {
-        const std::size_t k = 3 + std::size_t(seed) % 8;
-        const Problem pr = make_problem(seed, d, k, b, Edge::kNone);
-        expect_matches_reference(pr, k, label(seed, d, k, b, k));
+      for (std::size_t b : {1, 3, 8, 16}) {
+        for (std::size_t k : {3 + std::size_t(seed) % 8, std::size_t(0)}) {
+          const std::size_t p = k == 0 ? b : k;
+          const Problem pr = make_problem(seed, d, k, b, Edge::kNone);
+          expect_matches_reference(pr, p, label(seed, d, k, b, p));
+        }
       }
     }
   }
@@ -185,7 +203,7 @@ TEST(LowRankKernel, MatchesExplicitSvdOfA) {
 TEST(LowRankKernel, FreshColumnInSpanOfBasis) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     for (std::size_t d : {12, 64, 250}) {
-      for (std::size_t b : {1, 3, 8}) {
+      for (std::size_t b : {1, 3, 8, 16}) {
         const std::size_t k = 2 + std::size_t(seed) % 4;
         const std::size_t p = std::min(k + b, d);
         const Problem pr = make_problem(seed, d, k, b, Edge::kInSpan);
@@ -198,7 +216,7 @@ TEST(LowRankKernel, FreshColumnInSpanOfBasis) {
 TEST(LowRankKernel, ZeroedFreshColumn) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     for (std::size_t d : {12, 64, 250}) {
-      for (std::size_t b : {1, 3, 8}) {
+      for (std::size_t b : {1, 3, 8, 16}) {
         const std::size_t k = 2 + std::size_t(seed) % 4;
         const std::size_t p = std::min(k + b, d);
         const Problem pr = make_problem(seed, d, k, b, Edge::kZeroColumn);
@@ -208,16 +226,21 @@ TEST(LowRankKernel, ZeroedFreshColumn) {
   }
 }
 
+// Repeated columns, and a collinear pair that sums to zero (the merge's
+// mean-correction columns).
 TEST(LowRankKernel, IdenticalFreshColumns) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     for (std::size_t d : {12, 64, 250}) {
       for (std::size_t b : {3, 8}) {
-        const std::size_t k = 2 + std::size_t(seed) % 4;
-        const std::size_t p = std::min(k + b, d);
-        const Problem pr =
-            make_problem(seed, d, k, b, Edge::kDuplicateColumns);
-        expect_matches_reference(pr, p,
-                                 label(seed, d, k, b, p) + " duplicate");
+        for (Edge edge : {Edge::kDuplicateColumns, Edge::kOpposedColumns}) {
+          const std::size_t k = 2 + std::size_t(seed) % 4;
+          const std::size_t p = std::min(k + b, d);
+          const Problem pr = make_problem(seed, d, k, b, edge);
+          expect_matches_reference(
+              pr, p,
+              label(seed, d, k, b, p) +
+                  (edge == Edge::kOpposedColumns ? " opposed" : " duplicate"));
+        }
       }
     }
   }
@@ -313,10 +336,9 @@ TEST(LowRankKernel, BitIdenticalAcrossSimdModes) {
 // to tuple.  Over 50 000 robust updates with the periodic QR switched off,
 // the drift must stay orders of magnitude below the health watchdog's
 // 1e-4 max_basis_drift — which is what lets the default re-orthonormalize
-// only every 4096 updates.  Each update adds at most the core SVD's
-// stopping tolerance (1e-14); the stream ends near 7.5e-13.  The 1e-11
-// bound leaves a factor of ten above that and would catch the core run at
-// the Jacobi default of 1e-12, which drifts to 7.3e-11 here.
+// only every 4096 updates.  Each one-tuple update rotates by the secular
+// solver's U_K, orthonormal to rounding; the stream ends near 5.7e-13, and
+// the 1e-11 bound leaves a factor of about twenty above that.
 TEST(LowRankKernel, DriftStaysFarBelowWatchdogWithoutReorthonormalization) {
   Rng rng(2024);
   const auto model = testing::make_model(rng, 64, 5);
