@@ -3,10 +3,10 @@
 // The shapes mirror the hot paths: the low-rank eigensystem update (basis
 // projection plus a small core decomposition) for single tuples and
 // micro-batches, the core solvers on their own (secular for b = 1,
-// Householder + QL for micro-batch and merge cores), thin SVD of tall
-// matrices (batch PCA), the Jacobi symmetric eigensolve of the reference
-// paths, QR re-orthogonalization hygiene, and the mat-vec kernels inside
-// residual computation.
+// Householder + QL for micro-batch and merge cores), the update's blocked
+// row rotation, thin SVD of tall matrices (batch PCA), the Jacobi
+// symmetric eigensolve of the reference paths, QR re-orthogonalization
+// hygiene, and the projection Eᵀy inside every residual.
 
 #include <benchmark/benchmark.h>
 
@@ -17,8 +17,10 @@
 #include "linalg/eigen_sym.h"
 #include "linalg/qr.h"
 #include "linalg/rank_one_eig.h"
+#include "linalg/simd.h"
 #include "linalg/svd.h"
 #include "linalg/tridiag.h"
+#include "pca/eigensystem.h"
 #include "pca/incremental_pca.h"
 #include "stats/rng.h"
 
@@ -55,6 +57,7 @@ void BM_LowRankUpdate(benchmark::State& state) {
   stats::Rng rng(5);
   linalg::Matrix basis = rng.gaussian_matrix(d, k);
   linalg::orthonormalize_columns(basis);
+  const linalg::Matrix vectors = basis.transpose();  // one eigenvector a row
   linalg::Vector lambda(k);
   for (std::size_t c = 0; c < k; ++c) lambda[c] = 2.0 / double(c + 1);
   const linalg::Matrix fresh = rng.gaussian_matrix(b, d);
@@ -63,9 +66,8 @@ void BM_LowRankUpdate(benchmark::State& state) {
   linalg::Matrix e_out;
   linalg::Vector l_out;
   for (auto _ : state) {
-    ws.a.resize_no_shrink(k + b, d);
-    std::copy(fresh.data(), fresh.data() + b * d, ws.a.row_span(k).data());
-    pca::low_rank_update_batch(basis, lambda, 0.99, b, k, ws, e_out, l_out);
+    std::copy(fresh.data(), fresh.data() + b * d, ws.a.data());
+    pca::low_rank_update_batch(vectors, lambda, 0.99, b, k, ws, e_out, l_out);
     benchmark::DoNotOptimize(e_out.data());
     benchmark::DoNotOptimize(l_out.data());
     benchmark::ClobberMemory();
@@ -163,17 +165,48 @@ void BM_Qr(benchmark::State& state) {
 }
 BENCHMARK(BM_Qr)->Args({250, 11})->Args({1000, 11})->Args({2000, 21});
 
-void BM_TransposeTimes(benchmark::State& state) {
+void BM_RotateRows(benchmark::State& state) {
+  // The update's closing rotation E_new = [E Q] U_K[:, :p] at (d, p, n):
+  // p outputs from n = p + 1 input rows (one tuple), written in place over
+  // E as the engines do.
+  const auto d = std::size_t(state.range(0));
+  const auto p = std::size_t(state.range(1));
+  const auto n = std::size_t(state.range(2));
+  stats::Rng rng(7);
+  linalg::Matrix e = rng.gaussian_matrix(p, d);
+  const linalg::Matrix q = rng.gaussian_matrix(n - p, d);
+  const linalg::Matrix u = rng.gaussian_matrix(n, n);
+  std::vector<double> stage(p * linalg::simd::kRotateStageWidth);
+  const linalg::simd::Kernels& kn = linalg::simd::active();
+  for (auto _ : state) {
+    kn.rotate_rows(e.data(), p, q.data(), n - p, u.data(), n, d, e.data(), p,
+                   stage.data());
+    benchmark::DoNotOptimize(e.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(linalg::simd::mode_name(kn.mode));
+}
+BENCHMARK(BM_RotateRows)->Args({250, 10, 11});
+
+void BM_Project(benchmark::State& state) {
+  // Eᵀy as the engines' residuals and serve queries take it: one SIMD dot
+  // per eigenvector row.
   const auto d = std::size_t(state.range(0));
   const auto k = std::size_t(state.range(1));
   stats::Rng rng(5);
-  const linalg::Matrix e = rng.gaussian_matrix(d, k);
+  linalg::Matrix basis = rng.gaussian_matrix(d, k);
+  linalg::orthonormalize_columns(basis);
+  const pca::EigenSystem system(linalg::Vector(d), basis, linalg::Vector(k),
+                                1.0, stats::RobustRunningSums(1.0), 1);
   const linalg::Vector y = rng.gaussian_vector(d);
+  linalg::Vector c(k);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(e.transpose_times(y));
+    system.coefficients_into(y, k, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_TransposeTimes)->Args({250, 10})->Args({2000, 10});
+BENCHMARK(BM_Project)->Args({250, 10})->Args({2000, 10});
 
 void BM_MatVec(benchmark::State& state) {
   const auto d = std::size_t(state.range(0));

@@ -48,9 +48,12 @@ void save_eigensystem(std::ostream& out, const pca::EigenSystem& system,
   write_f64(out, system.sums().q());
   for (double v : system.mean()) write_f64(out, v);
   for (double v : system.eigenvalues()) write_f64(out, v);
+  // The basis goes to disk row-major d x p: pixel r of every eigenvector,
+  // pixel by pixel.
+  const linalg::Matrix& vectors = system.vectors();
   for (std::size_t r = 0; r < system.dim(); ++r) {
     for (std::size_t c = 0; c < system.rank(); ++c) {
-      write_f64(out, system.basis()(r, c));
+      write_f64(out, vectors(c, r));
     }
   }
   if (!out) throw std::runtime_error("checkpoint: write failed");

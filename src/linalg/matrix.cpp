@@ -125,42 +125,8 @@ Matrix Matrix::transpose() const {
   return out;
 }
 
-Vector Matrix::transpose_times(const Vector& v) const {
-  Vector out;
-  transpose_times_into(v, out);
-  return out;
-}
-
-void Matrix::transpose_times_into(const Vector& v, Vector& out) const {
-  if (rows_ != v.size()) {
-    throw std::invalid_argument("transpose_times: dimension mismatch");
-  }
-  out.resize_no_shrink(cols_);
-  out.fill(0.0);
-  // Row-streaming accumulation: each row of A contributes a_i * v[i] to the
-  // whole output, reading A contiguously exactly once.  Per output entry j
-  // the terms arrive in increasing i, matching the naive per-column dot
-  // product bit for bit.  The branchless inner loop vectorizes; the old
-  // `v[i] == 0` skip saved nothing on dense streams and cost a branch per
-  // row.
-  double* o = out.data();
-  const simd::Kernels& kn = simd::active();
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double vi = v[i];
-    const double* arow = data_.data() + i * cols_;
-    kn.axpy(o, arow, vi, cols_);
-  }
-}
-
 Matrix Matrix::gram() const {
-  Matrix out;
-  gram_into(out);
-  return out;
-}
-
-void Matrix::gram_into(Matrix& out) const {
-  out.resize_no_shrink(cols_, cols_);
-  out.fill(0.0);
+  Matrix out(cols_, cols_);
   // One pass over the rows, accumulating each row's outer product into the
   // upper triangle (i-k-j order per row; contiguous reads and writes), then
   // mirror.  Term order per (i, j) entry is increasing row index — the same
@@ -177,6 +143,7 @@ void Matrix::gram_into(Matrix& out) const {
   for (std::size_t i = 0; i < cols_; ++i) {
     for (std::size_t j = 0; j < i; ++j) out(i, j) = out(j, i);
   }
+  return out;
 }
 
 double Matrix::frobenius_norm() const noexcept {

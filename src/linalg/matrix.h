@@ -2,12 +2,13 @@
 
 // Dense row-major double-precision matrix.
 //
-// Sized for the paper's workloads: the per-tuple low-rank update rotates a
-// d x p basis (d up to 2000, p ~ 5-20); merges stack a handful of
-// eigensystems; baselines eigendecompose d x d covariances for modest d.
-// Row-major keeps row extraction (one observation) contiguous; kernels
-// that stream over columns (the SVD, the low-rank update) keep their own
-// column-major copies.
+// Sized for the paper's workloads: the per-tuple low-rank update rotates
+// p eigenvectors of length d (d up to 2000, p ~ 5-20); merges stack a
+// handful of eigensystems; baselines eigendecompose d x d covariances for
+// modest d.  Row-major keeps a row contiguous: one observation, or one
+// eigenvector of an eigensystem, which stores its basis as p x d rows so
+// the update kernel and every projection stream over contiguous memory.
+// The SVD keeps its own column-major working copy.
 
 #include <cstddef>
 #include <initializer_list>
@@ -68,20 +69,15 @@ class Matrix {
 
   [[nodiscard]] Matrix transpose() const;
 
-  /// this^T * v without materializing the transpose.
-  [[nodiscard]] Vector transpose_times(const Vector& v) const;
-
   /// this^T * this (the Gram matrix), exploiting symmetry.
   [[nodiscard]] Matrix gram() const;
 
-  /// Write-into variants for the allocation-free hot path: identical
+  /// Write-into variant for the allocation-free hot path: identical
   /// arithmetic (same accumulation order, so results are bit-identical to
-  /// the value-returning forms), but the output is resized in place with
+  /// the value-returning form), but the output is resized in place with
   /// resize_no_shrink — zero allocator traffic once the destination has
-  /// reached its high-water capacity.  `out` must not alias `this` / `v`.
+  /// reached its high-water capacity.  `out` must not alias `this`.
   void multiply_into(const Matrix& rhs, Matrix& out) const;
-  void transpose_times_into(const Vector& v, Vector& out) const;
-  void gram_into(Matrix& out) const;
 
   /// Resize preserving capacity (see Vector::resize_no_shrink).  Entries
   /// are NOT re-zeroed when shrinking or reshaping within capacity — the

@@ -1,7 +1,10 @@
 #include "linalg/simd.h"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
+#include <utility>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define ASTRO_SIMD_X86 1
@@ -49,7 +52,107 @@ void rotate2_scalar(double* x, double* y, double c, double s, std::size_t n) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Row rotation.  A tier supplies kWidth (columns per register), kBlock (the
+// most outputs whose accumulators stay in registers through one pass over
+// the inputs) and span<B>, which writes outputs [0, B) over the columns
+// [r0, r1) to dst + c·stride + (r − r0).  The block is a template argument
+// so the accumulator array is fully unrolled into registers; a runtime
+// output count would keep it in memory.
+
+// The n = k + b input rows: k at `head`, then b at `tail`, d apart.
+struct Rows {
+  const double* head;
+  std::size_t k;
+  const double* tail;
+  std::size_t d;
+};
+
+using SpanFn = void (*)(const Rows& x, std::size_t n, const double* u,
+                        std::size_t ldu, std::size_t r0, std::size_t r1,
+                        double* dst, std::size_t stride);
+
+template <class Tier, std::size_t... I>
+constexpr std::array<SpanFn, sizeof...(I)> span_table(
+    std::index_sequence<I...>) {
+  return {&Tier::template span<I + 1>...};
+}
+
+// Outputs [0, keep) over the columns [r0, r1), a whole number of
+// Tier::kWidth chunks.  One register block stores straight to `out`: in
+// each chunk its loads from every input precede its stores, so an output
+// row may be its own input row.  A wider rotation goes chunk by chunk
+// through `stage`, so no block overwrites an input that a later block of
+// the same chunk still reads.
+template <class Tier>
+void rotate_columns(const Rows& x, std::size_t n, const double* u,
+                    std::size_t ldu, std::size_t keep, std::size_t r0,
+                    std::size_t r1, double* out, double* stage) {
+  static constexpr std::array<SpanFn, Tier::kBlock> kSpans =
+      span_table<Tier>(std::make_index_sequence<Tier::kBlock>{});
+  if (keep == 0 || r0 == r1) return;
+  if (keep <= Tier::kBlock) {
+    kSpans[keep - 1](x, n, u, ldu, r0, r1, out + r0, x.d);
+    return;
+  }
+  constexpr std::size_t w = Tier::kWidth;
+  for (std::size_t r = r0; r < r1; r += w) {
+    for (std::size_t c0 = 0; c0 < keep; c0 += Tier::kBlock) {
+      const std::size_t block = std::min(Tier::kBlock, keep - c0);
+      kSpans[block - 1](x, n, u + c0, ldu, r, r + w, stage + c0 * w, w);
+    }
+    for (std::size_t c = 0; c < keep; ++c) {
+      std::copy_n(stage + c * w, w, out + c * x.d + r);
+    }
+  }
+}
+
+struct ScalarRotation {
+  static constexpr std::size_t kWidth = 1;
+  static constexpr std::size_t kBlock = 16;
+  template <std::size_t B>
+  static void accumulate(double (&acc)[B], double xj, const double* uj) {
+#pragma GCC unroll 16
+    for (std::size_t c = 0; c < B; ++c) acc[c] += uj[c] * xj;
+  }
+  template <std::size_t B>
+  static void span(const Rows& x, std::size_t n, const double* u,
+                   std::size_t ldu, std::size_t r0, std::size_t r1,
+                   double* dst, std::size_t stride) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      double acc[B];
+#pragma GCC unroll 16
+      for (std::size_t c = 0; c < B; ++c) acc[c] = 0.0;
+      for (std::size_t j = 0; j < x.k; ++j) {
+        accumulate<B>(acc, x.head[j * x.d + r], u + j * ldu);
+      }
+      for (std::size_t j = x.k; j < n; ++j) {
+        accumulate<B>(acc, x.tail[(j - x.k) * x.d + r], u + j * ldu);
+      }
+#pragma GCC unroll 16
+      for (std::size_t c = 0; c < B; ++c) dst[c * stride + (r - r0)] = acc[c];
+    }
+  }
+};
+
+// The body in Tier's chunks, the remainder columns one at a time by the
+// scalar tier, then the zero rows past the input count.
+template <class Tier>
+void rotate_rows_tier(const double* head, std::size_t k, const double* tail,
+                      std::size_t b, const double* u, std::size_t ldu,
+                      std::size_t d, double* out, std::size_t m,
+                      double* stage) {
+  const Rows x{head, k, tail, d};
+  const std::size_t n = k + b;
+  const std::size_t keep = std::min(m, n);
+  const std::size_t body = d - d % Tier::kWidth;
+  rotate_columns<Tier>(x, n, u, ldu, keep, 0, body, out, stage);
+  rotate_columns<ScalarRotation>(x, n, u, ldu, keep, body, d, out, stage);
+  for (std::size_t c = keep; c < m; ++c) std::fill_n(out + c * d, d, 0.0);
+}
+
 constexpr Kernels kScalarKernels{dot_scalar, axpy_scalar, rotate2_scalar,
+                                 rotate_rows_tier<ScalarRotation>,
                                  Mode::kScalar};
 
 #if ASTRO_SIMD_X86
@@ -115,7 +218,42 @@ __attribute__((target("avx2"))) void rotate2_avx2(double* x, double* y,
   }
 }
 
-constexpr Kernels kAvx2Kernels{dot_avx2, axpy_avx2, rotate2_avx2, Mode::kAvx2};
+struct Avx2Rotation {
+  static constexpr std::size_t kWidth = 4;
+  static constexpr std::size_t kBlock = 12;  // + input + broadcast: 14 of 16
+  template <std::size_t B>
+  __attribute__((target("avx2"), always_inline)) static inline void
+  accumulate(__m256d (&acc)[B], const double* xj, const double* uj) {
+    const __m256d xv = _mm256_loadu_pd(xj);
+#pragma GCC unroll 16
+    for (std::size_t c = 0; c < B; ++c) {
+      acc[c] = _mm256_add_pd(acc[c], _mm256_mul_pd(_mm256_set1_pd(uj[c]), xv));
+    }
+  }
+  template <std::size_t B>
+  __attribute__((target("avx2"))) static void span(
+      const Rows& x, std::size_t n, const double* u, std::size_t ldu,
+      std::size_t r0, std::size_t r1, double* dst, std::size_t stride) {
+    for (std::size_t r = r0; r < r1; r += kWidth) {
+      __m256d acc[B];
+#pragma GCC unroll 16
+      for (std::size_t c = 0; c < B; ++c) acc[c] = _mm256_setzero_pd();
+      for (std::size_t j = 0; j < x.k; ++j) {
+        accumulate<B>(acc, x.head + j * x.d + r, u + j * ldu);
+      }
+      for (std::size_t j = x.k; j < n; ++j) {
+        accumulate<B>(acc, x.tail + (j - x.k) * x.d + r, u + j * ldu);
+      }
+#pragma GCC unroll 16
+      for (std::size_t c = 0; c < B; ++c) {
+        _mm256_storeu_pd(dst + c * stride + (r - r0), acc[c]);
+      }
+    }
+  }
+};
+
+constexpr Kernels kAvx2Kernels{dot_avx2, axpy_avx2, rotate2_avx2,
+                               rotate_rows_tier<Avx2Rotation>, Mode::kAvx2};
 
 // ---------------------------------------------------------------------------
 // AVX-512 tier.  One 8-wide accumulator IS the scalar 8-chain unroll.
@@ -172,7 +310,42 @@ __attribute__((target("avx512f"))) void rotate2_avx512(double* x, double* y,
   }
 }
 
+struct Avx512Rotation {
+  static constexpr std::size_t kWidth = 8;
+  static constexpr std::size_t kBlock = 16;
+  template <std::size_t B>
+  __attribute__((target("avx512f"), always_inline)) static inline void
+  accumulate(__m512d (&acc)[B], const double* xj, const double* uj) {
+    const __m512d xv = _mm512_loadu_pd(xj);
+#pragma GCC unroll 16
+    for (std::size_t c = 0; c < B; ++c) {
+      acc[c] = _mm512_add_pd(acc[c], _mm512_mul_pd(_mm512_set1_pd(uj[c]), xv));
+    }
+  }
+  template <std::size_t B>
+  __attribute__((target("avx512f"))) static void span(
+      const Rows& x, std::size_t n, const double* u, std::size_t ldu,
+      std::size_t r0, std::size_t r1, double* dst, std::size_t stride) {
+    for (std::size_t r = r0; r < r1; r += kWidth) {
+      __m512d acc[B];
+#pragma GCC unroll 16
+      for (std::size_t c = 0; c < B; ++c) acc[c] = _mm512_setzero_pd();
+      for (std::size_t j = 0; j < x.k; ++j) {
+        accumulate<B>(acc, x.head + j * x.d + r, u + j * ldu);
+      }
+      for (std::size_t j = x.k; j < n; ++j) {
+        accumulate<B>(acc, x.tail + (j - x.k) * x.d + r, u + j * ldu);
+      }
+#pragma GCC unroll 16
+      for (std::size_t c = 0; c < B; ++c) {
+        _mm512_storeu_pd(dst + c * stride + (r - r0), acc[c]);
+      }
+    }
+  }
+};
+
 constexpr Kernels kAvx512Kernels{dot_avx512, axpy_avx512, rotate2_avx512,
+                                 rotate_rows_tier<Avx512Rotation>,
                                  Mode::kAvx512};
 
 #endif  // ASTRO_SIMD_X86

@@ -167,7 +167,7 @@ BatchRobustResult batch_robust_pca(std::span<const linalg::Vector> data,
   // small.
   if (p_solve > p) {
     linalg::Vector robust_lambda =
-        robust_eigenvalues(data, out.system.mean(), out.system.basis(), *rho,
+        robust_eigenvalues(data, out.system.mean(), out.system.vectors(), *rho,
                            rho->gaussian_expectation());
     std::vector<std::size_t> order(p_solve);
     std::iota(order.begin(), order.end(), 0);
@@ -175,18 +175,17 @@ BatchRobustResult batch_robust_pca(std::span<const linalg::Vector> data,
                                                      std::size_t b) {
       return robust_lambda[a] > robust_lambda[b];
     });
-    linalg::Matrix basis(d, p);
+    linalg::Matrix vectors(p, d);
     linalg::Vector lambda(p);
     for (std::size_t k = 0; k < p; ++k) {
       lambda[k] = robust_lambda[order[k]];
-      for (std::size_t r = 0; r < d; ++r) {
-        basis(r, k) = out.system.basis()(r, order[k]);
-      }
+      const auto e = out.system.vectors().row_span(order[k]);
+      std::copy(e.begin(), e.end(), vectors.row_span(k).begin());
     }
     // Re-derive the residual scale for the truncated system.
-    EigenSystem truncated(out.system.mean(), std::move(basis),
-                          std::move(lambda), 0.0,
-                          stats::RobustRunningSums(1.0), n);
+    EigenSystem truncated = EigenSystem::from_vectors(
+        out.system.mean(), std::move(vectors), std::move(lambda), 0.0,
+        stats::RobustRunningSums(1.0), n);
     std::vector<double> res(n);
     for (std::size_t i = 0; i < n; ++i) {
       res[i] = std::sqrt(truncated.squared_residual(data[i]));

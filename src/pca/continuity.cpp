@@ -7,27 +7,39 @@
 
 namespace astro::pca {
 
+namespace {
+
+// The deterministic sign of one vector of n entries `stride` apart: its
+// largest-|entry| coordinate (ties to the lowest index) made positive.
+void fix_sign(double* v, std::size_t n, std::size_t stride) noexcept {
+  std::size_t arg = 0;
+  double best = -1.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double a = std::abs(v[i * stride]);
+    if (a > best) {  // strict: ties keep the lowest index
+      best = a;
+      arg = i;
+    }
+  }
+  if (n > 0 && v[arg * stride] < 0.0) {
+    for (std::size_t i = 0; i < n; ++i) v[i * stride] = -v[i * stride];
+  }
+}
+
+}  // namespace
+
 void apply_sign_convention(linalg::Matrix& basis) noexcept {
-  const std::size_t d = basis.rows();
-  const std::size_t m = basis.cols();
-  for (std::size_t c = 0; c < m; ++c) {
-    std::size_t arg = 0;
-    double best = -1.0;
-    for (std::size_t r = 0; r < d; ++r) {
-      const double a = std::abs(basis(r, c));
-      if (a > best) {  // strict: ties keep the lowest row index
-        best = a;
-        arg = r;
-      }
-    }
-    if (d > 0 && basis(arg, c) < 0.0) {
-      for (std::size_t r = 0; r < d; ++r) basis(r, c) = -basis(r, c);
-    }
+  if (basis.rows() == 0) return;
+  for (std::size_t c = 0; c < basis.cols(); ++c) {
+    fix_sign(basis.data() + c, basis.rows(), basis.cols());
   }
 }
 
 void apply_sign_convention(EigenSystem& system) noexcept {
-  apply_sign_convention(system.mutable_basis());
+  linalg::Matrix& vectors = system.mutable_vectors();
+  for (std::size_t k = 0; k < vectors.rows(); ++k) {
+    fix_sign(vectors.row_span(k).data(), vectors.cols(), 1);
+  }
 }
 
 void continuity_signs(const linalg::Matrix& prev, linalg::Matrix& vectors) {
@@ -36,6 +48,7 @@ void continuity_signs(const linalg::Matrix& prev, linalg::Matrix& vectors) {
   if (prev.rows() != d) {
     throw std::invalid_argument("continuity_signs: row count mismatch");
   }
+  if (d == 0) return;
   const std::size_t tracked = std::min(prev.cols(), m);
   for (std::size_t c = 0; c < m; ++c) {
     if (c < tracked) {
@@ -48,18 +61,7 @@ void continuity_signs(const linalg::Matrix& prev, linalg::Matrix& vectors) {
       // Exactly orthogonal to its predecessor: no continuity signal —
       // fall through to the deterministic rule for this column.
     }
-    std::size_t arg = 0;
-    double best = -1.0;
-    for (std::size_t r = 0; r < d; ++r) {
-      const double a = std::abs(vectors(r, c));
-      if (a > best) {
-        best = a;
-        arg = r;
-      }
-    }
-    if (d > 0 && vectors(arg, c) < 0.0) {
-      for (std::size_t r = 0; r < d; ++r) vectors(r, c) = -vectors(r, c);
-    }
+    fix_sign(vectors.data() + c, d, m);
   }
 }
 

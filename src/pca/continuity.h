@@ -42,7 +42,7 @@ namespace astro::pca {
 /// negative.  Idempotent; preserves orthonormality and spans.
 void apply_sign_convention(linalg::Matrix& basis) noexcept;
 
-/// Sign convention applied to an eigensystem's basis in place.
+/// The same convention on each eigenvector row of an eigensystem, in place.
 void apply_sign_convention(EigenSystem& system) noexcept;
 
 /// Reorder the columns of `vectors` (and the matching entries of

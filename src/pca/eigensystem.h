@@ -3,6 +3,12 @@
 // The truncated eigensystem {mean, E_p, Λ_p, σ²} plus the running sums that
 // make it mergeable — the state every streaming PCA engine maintains and
 // the unit of exchange during synchronization (paper §II-C, §III-B).
+//
+// E_p is stored eigenvector-major: a p x d matrix whose row k is e_k, d
+// contiguous doubles.  The update kernel projects onto and rotates these
+// rows in place, and every projection Eᵀy is p contiguous dot products.
+// The d x p view whose columns are the eigenvectors is only handed out as
+// a copy, for callers outside the hot path.
 
 #include <cstdint>
 
@@ -19,16 +25,30 @@ class EigenSystem {
   /// Empty system of dimension `d` and rank `p` with forgetting factor α.
   EigenSystem(std::size_t d, std::size_t p, double alpha = 1.0);
 
-  /// A fully-specified system (used by batch solvers and deserialization).
-  EigenSystem(linalg::Vector mean, linalg::Matrix basis,
+  /// A fully-specified system from a d x p basis (columns are
+  /// eigenvectors), transposed once into rows: batch solvers, checkpoint
+  /// decode, tests.
+  EigenSystem(linalg::Vector mean, const linalg::Matrix& basis,
               linalg::Vector eigenvalues, double sigma2,
               stats::RobustRunningSums sums, std::uint64_t observations);
+
+  /// A fully-specified system from p x d eigenvector rows, kept as given:
+  /// the update kernel's output (merge, init).
+  [[nodiscard]] static EigenSystem from_vectors(
+      linalg::Vector mean, linalg::Matrix vectors, linalg::Vector eigenvalues,
+      double sigma2, stats::RobustRunningSums sums,
+      std::uint64_t observations);
 
   [[nodiscard]] std::size_t dim() const noexcept { return mean_.size(); }
   [[nodiscard]] std::size_t rank() const noexcept { return eigenvalues_.size(); }
 
   [[nodiscard]] const linalg::Vector& mean() const noexcept { return mean_; }
-  [[nodiscard]] const linalg::Matrix& basis() const noexcept { return basis_; }
+  /// The eigenvectors, p x d: row k is e_k.
+  [[nodiscard]] const linalg::Matrix& vectors() const noexcept {
+    return vectors_;
+  }
+  /// A d x p copy whose columns are the eigenvectors.
+  [[nodiscard]] linalg::Matrix basis() const { return vectors_.transpose(); }
   [[nodiscard]] const linalg::Vector& eigenvalues() const noexcept {
     return eigenvalues_;
   }
@@ -41,7 +61,7 @@ class EigenSystem {
   }
 
   linalg::Vector& mutable_mean() noexcept { return mean_; }
-  linalg::Matrix& mutable_basis() noexcept { return basis_; }
+  linalg::Matrix& mutable_vectors() noexcept { return vectors_; }
   linalg::Vector& mutable_eigenvalues() noexcept { return eigenvalues_; }
   stats::RobustRunningSums& mutable_sums() noexcept { return sums_; }
   void set_sigma2(double s2) noexcept { sigma2_ = s2; }
@@ -57,6 +77,13 @@ class EigenSystem {
 
   /// Expansion coefficients c = E_pᵀ (x − µ).
   [[nodiscard]] linalg::Vector project(const linalg::Vector& x) const;
+
+  /// c_k = e_kᵀ y for the leading `count` eigenvectors of an already
+  /// centered y, one SIMD dot per row.  Every Eᵀy in the library goes
+  /// through here, so two paths that project the same y agree to the bit.
+  /// Allocation-free once `c` holds `count` entries.
+  void coefficients_into(const linalg::Vector& y, std::size_t count,
+                         linalg::Vector& c) const;
 
   /// Reconstruction µ + E_p c from coefficients.
   [[nodiscard]] linalg::Vector reconstruct(const linalg::Vector& coeffs) const;
@@ -85,10 +112,11 @@ class EigenSystem {
 
   /// True once the system has a usable basis (post-initialization).
   [[nodiscard]] bool initialized() const noexcept {
-    return !basis_.empty() && observations_ > 0;
+    return !vectors_.empty() && observations_ > 0;
   }
 
   /// Max deviation of E_pᵀE_p from identity — numerical health indicator.
+  /// Allocation-free.
   [[nodiscard]] double basis_drift() const;
 
   /// Re-orthonormalizes the basis in place (QR hygiene).
@@ -96,7 +124,7 @@ class EigenSystem {
 
  private:
   linalg::Vector mean_;
-  linalg::Matrix basis_;        // d x p, columns are eigenvectors
+  linalg::Matrix vectors_;      // p x d, rows are eigenvectors
   linalg::Vector eigenvalues_;  // p, descending
   double sigma2_ = 0.0;
   stats::RobustRunningSums sums_;

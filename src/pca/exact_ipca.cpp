@@ -147,15 +147,16 @@ void ExactIpca::set_eigensystem(EigenSystem system) {
   c_.resize_no_shrink(d, d);
   double* c = c_.data();
   for (std::size_t i = 0; i < d * d; ++i) c[i] = 0.0;
-  const linalg::Matrix& basis = system.basis();
+  const linalg::Matrix& vectors = system.vectors();
   for (std::size_t k = 0; k < r; ++k) {
     const double lk = system.eigenvalues()[k] - spread;
     if (lk == 0.0) continue;
+    const auto e = vectors.row_span(k);
     for (std::size_t i = 0; i < d; ++i) {
-      const double bik = lk * basis(i, k);
+      const double bik = lk * e[i];
       if (bik == 0.0) continue;
       double* row = c + i * d;
-      for (std::size_t j = 0; j < d; ++j) row[j] += bik * basis(j, k);
+      for (std::size_t j = 0; j < d; ++j) row[j] += bik * e[j];
     }
   }
   if (spread > 0.0) {
@@ -168,7 +169,7 @@ void ExactIpca::set_eigensystem(EigenSystem system) {
   const std::size_t tracked = std::min({config_.rank, r, d});
   prev_top_.resize_no_shrink(d, tracked);
   for (std::size_t k = 0; k < tracked; ++k) {
-    for (std::size_t i = 0; i < d; ++i) prev_top_(i, k) = basis(i, k);
+    for (std::size_t i = 0; i < d; ++i) prev_top_(i, k) = vectors(k, i);
   }
 
   installed_ = true;

@@ -24,16 +24,16 @@ GapFillResult fill_gaps(const EigenSystem& system, const linalg::Vector& x,
   }
 
   // Masked normal equations: (E_oᵀ E_o) c = E_oᵀ y_o over observed pixels.
-  const linalg::Matrix& e = system.basis();
+  const linalg::Matrix& e = system.vectors();
   linalg::Matrix gram(p, p);
   linalg::Vector rhs(p);
   for (std::size_t i = 0; i < d; ++i) {
     if (!observed[i]) continue;
     const double yi = x[i] - system.mean()[i];
     for (std::size_t a = 0; a < p; ++a) {
-      const double ea = e(i, a);
+      const double ea = e(a, i);
       rhs[a] += ea * yi;
-      for (std::size_t b = a; b < p; ++b) gram(a, b) += ea * e(i, b);
+      for (std::size_t b = a; b < p; ++b) gram(a, b) += ea * e(b, i);
     }
   }
   for (std::size_t a = 0; a < p; ++a) {
@@ -69,7 +69,7 @@ GapFillResult fill_gaps(const EigenSystem& system, const linalg::Vector& x,
   for (std::size_t i = 0; i < d; ++i) {
     if (observed[i]) continue;
     double v = system.mean()[i];
-    for (std::size_t a = 0; a < p; ++a) v += e(i, a) * out.coeffs[a];
+    for (std::size_t a = 0; a < p; ++a) v += e(a, i) * out.coeffs[a];
     out.patched[i] = v;
   }
   return out;
@@ -88,21 +88,23 @@ double corrected_squared_residual(const EigenSystem& system, std::size_t p,
   }
 
   const linalg::Vector y = system.center(patched);
-  const linalg::Vector c = system.basis().transpose_times(y);
+  const linalg::Matrix& e = system.vectors();
+  linalg::Vector c;
+  system.coefficients_into(y, full, c);
 
   double r2 = 0.0;
   for (std::size_t i = 0; i < d; ++i) {
     if (observed[i]) {
       // True residual of the rank-p fit on a measured pixel.
       double ri = y[i];
-      for (std::size_t k = 0; k < p; ++k) ri -= c[k] * system.basis()(i, k);
+      for (std::size_t k = 0; k < p; ++k) ri -= c[k] * e(k, i);
       r2 += ri * ri;
     } else {
       // Missing pixel: the patch has zero rank-`full` residual by
       // construction; estimate the unseen rank-p residual from the higher-
       // order components p..full-1.
       double est = 0.0;
-      for (std::size_t k = p; k < full; ++k) est += c[k] * system.basis()(i, k);
+      for (std::size_t k = p; k < full; ++k) est += c[k] * e(k, i);
       r2 += est * est;
     }
   }

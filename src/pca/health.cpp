@@ -20,10 +20,10 @@ bool all_finite(const EigenSystem& system) noexcept {
   for (double v : system.mean()) {
     if (!std::isfinite(v)) return false;
   }
-  const linalg::Matrix& basis = system.basis();
-  for (std::size_t r = 0; r < basis.rows(); ++r) {
-    for (std::size_t c = 0; c < basis.cols(); ++c) {
-      if (!std::isfinite(basis(r, c))) return false;
+  const linalg::Matrix& vectors = system.vectors();
+  for (std::size_t k = 0; k < vectors.rows(); ++k) {
+    for (double v : vectors.row_span(k)) {
+      if (!std::isfinite(v)) return false;
     }
   }
   for (double v : system.eigenvalues()) {
@@ -36,8 +36,7 @@ bool all_finite(const EigenSystem& system) noexcept {
 }
 
 HealthReport check_health(const EigenSystem& system,
-                          const HealthThresholds& thresholds,
-                          HealthWorkspace& ws) {
+                          const HealthThresholds& thresholds) {
   HealthReport report;
   if (!system.initialized()) return report;
 
@@ -73,18 +72,9 @@ HealthReport check_health(const EigenSystem& system,
     return report;
   }
 
-  // Orthonormality drift, via the workspace gram (no allocation when warm).
-  system.basis().gram_into(ws.gram);
-  double drift = 0.0;
-  for (std::size_t r = 0; r < ws.gram.rows(); ++r) {
-    for (std::size_t c = 0; c < ws.gram.cols(); ++c) {
-      const double target = r == c ? 1.0 : 0.0;
-      const double dev = std::abs(ws.gram(r, c) - target);
-      if (dev > drift) drift = dev;
-    }
-  }
-  report.basis_drift = drift;
-  if (drift > thresholds.max_basis_drift) {
+  // Orthonormality drift: row dot products, no scratch.
+  report.basis_drift = system.basis_drift();
+  if (report.basis_drift > thresholds.max_basis_drift) {
     report.fault = HealthFault::kBasisDrift;
   }
   return report;

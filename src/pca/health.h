@@ -16,14 +16,12 @@
 //   kEnergyCollapse      Σλ not finite, or ≤ 0 on an initialized system
 //   kEnergyExplosion     Σλ above the absolute ceiling (runaway update)
 //
-// check_health() is allocation-free once its workspace is warm (the gram
-// scratch is sized on first use), so engines can run it on a tuple-count
-// cadence without touching the allocator.
+// check_health() is allocation-free, so engines can run it on a
+// tuple-count cadence without touching the allocator.
 
 #include <cstddef>
 #include <string>
 
-#include "linalg/matrix.h"
 #include "pca/eigensystem.h"
 
 namespace astro::pca {
@@ -63,18 +61,11 @@ struct HealthReport {
   }
 };
 
-/// Scratch for the orthonormality check; reused across checks so the
-/// watchdog cadence stays off the allocator.
-struct HealthWorkspace {
-  linalg::Matrix gram;
-};
-
 /// Full self-check in fault order: finite scan (cheap, catches the common
-/// poisoning) before the O(d p²) gram.  An uninitialized system is healthy
-/// by definition — there is nothing to corrupt yet.
+/// poisoning) before the O(d p²) orthonormality check.  An uninitialized
+/// system is healthy by definition — there is nothing to corrupt yet.
 [[nodiscard]] HealthReport check_health(const EigenSystem& system,
-                                        const HealthThresholds& thresholds,
-                                        HealthWorkspace& ws);
+                                        const HealthThresholds& thresholds);
 
 /// Finite scan only: true when every entry of {mean, basis, eigenvalues,
 /// σ², running sums} is finite.  O(d p), allocation-free — cheap enough to

@@ -18,24 +18,30 @@ namespace {
 // normalized into a direction that would not be orthogonal to the basis.
 constexpr double kNullResidual = 1e-12;
 
+// [E; Q]: the k basis rows where the eigensystem keeps them, followed by
+// the residual directions in the workspace's fresh rows.
+struct Stacked {
+  const linalg::Matrix& e;
+  const linalg::Matrix& q;
+  [[nodiscard]] const double* row(std::size_t j) const noexcept {
+    return j < e.rows() ? e.row_span(j).data()
+                        : q.row_span(j - e.rows()).data();
+  }
+};
+
 // CGS2: two classical Gram-Schmidt passes of `v` against rows [0, m) of `w`
-// (each row one column of [E Q], d contiguous entries).  Each pass takes
-// every coefficient against the same v before subtracting any, so both are
-// m dot products followed by m axpys through the SIMD table.  The second
-// pass removes what rounding left of the first ("twice is enough"); when
-// `core` is non-null the coefficients of both passes are summed into rows
-// [0, m) of its column `col`.  `tmp` holds m doubles.  Returns |v| after.
-double project_out(const linalg::Matrix& w, std::size_t m, double* v,
+// (d contiguous entries each).  Each pass takes every coefficient against
+// the same v before subtracting any, so both are m dot products followed
+// by m axpys through the SIMD table.  The second pass removes what
+// rounding left of the first ("twice is enough"); when `core` is non-null
+// the coefficients of both passes are summed into rows [0, m) of its
+// column `col`.  `tmp` holds m doubles.  Returns |v| after.
+double project_out(const Stacked& w, std::size_t m, std::size_t d, double* v,
                    double* tmp, linalg::Matrix* core, std::size_t col) {
   const linalg::simd::Kernels& kn = linalg::simd::active();
-  const std::size_t d = w.cols();
   for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t j = 0; j < m; ++j) {
-      tmp[j] = kn.dot(w.row_span(j).data(), v, d);
-    }
-    for (std::size_t j = 0; j < m; ++j) {
-      kn.axpy(v, w.row_span(j).data(), -tmp[j], d);
-    }
+    for (std::size_t j = 0; j < m; ++j) tmp[j] = kn.dot(w.row(j), v, d);
+    for (std::size_t j = 0; j < m; ++j) kn.axpy(v, w.row(j), -tmp[j], d);
     if (core != nullptr) {
       for (std::size_t j = 0; j < m; ++j) (*core)(j, col) += tmp[j];
     }
@@ -52,15 +58,14 @@ void scale(double* v, double s, std::size_t d) {
 // with the largest remainder.  The remainders' squares average (d - m) / d
 // over the axes, so while m < d some axis keeps at least 1/d of its squared
 // length; below half that, the rows already span R^d and v is left zero.
-void complete_direction(const linalg::Matrix& w, std::size_t m, double* v,
-                        double* tmp) {
-  const std::size_t d = w.cols();
+void complete_direction(const Stacked& w, std::size_t m, std::size_t d,
+                        double* v, double* tmp) {
   std::size_t best = d;
   double best_norm = std::sqrt(0.5 / double(d));
   for (std::size_t axis = 0; axis < d; ++axis) {
     std::fill(v, v + d, 0.0);
     v[axis] = 1.0;
-    const double norm = project_out(w, m, v, tmp, nullptr, 0);
+    const double norm = project_out(w, m, d, v, tmp, nullptr, 0);
     if (norm > 0.5) {
       scale(v, 1.0 / norm, d);
       return;
@@ -73,7 +78,7 @@ void complete_direction(const linalg::Matrix& w, std::size_t m, double* v,
   std::fill(v, v + d, 0.0);
   if (best == d) return;
   v[best] = 1.0;
-  scale(v, 1.0 / project_out(w, m, v, tmp, nullptr, 0), d);
+  scale(v, 1.0 / project_out(w, m, d, v, tmp, nullptr, 0), d);
 }
 
 // Eigenpairs of K Kᵀ for the n x n core K in ws.core into ws.core_u /
@@ -117,24 +122,17 @@ void core_eig(UpdateWorkspace& ws, std::size_t n) {
 
 }  // namespace
 
-void low_rank_update_batch(const linalg::Matrix& basis,
+void low_rank_update_batch(const linalg::Matrix& vectors,
                            const linalg::Vector& eigenvalues,
                            double history_scale, std::size_t batch,
                            std::size_t p, UpdateWorkspace& ws,
                            linalg::Matrix& e_out, linalg::Vector& lambda_out) {
-  const std::size_t d = basis.rows();
+  const std::size_t d = ws.a.cols();
   const std::size_t k = eigenvalues.size();
   const std::size_t n = k + batch;
-  linalg::Matrix& w = ws.a;
-  w.resize_no_shrink(n, d);  // no-op when the caller staged the fresh rows
+  const Stacked w{vectors, ws.a};
 
-  // Rows [0, k) of w take E column by column.  This copy is the last read
-  // of `basis`, which is what makes aliasing e_out onto it legal.
-  for (std::size_t r = 0; r < d; ++r) {
-    for (std::size_t c = 0; c < k; ++c) w(c, r) = basis(r, c);
-  }
-
-  // Core K = [[diag(sqrt(h λ)), C], [0, T]]: each fresh column f_i, CGS2-
+  // Core K = [[diag(sqrt(h λ)), C], [0, T]]: each fresh row f_i, CGS2-
   // projected against E and the residual directions before it, leaves its
   // coefficients in column k+i and becomes q_i = r_i / ρ_i in place, so
   // [E | F] = [E | Q] K with [E | Q] orthonormal.  A vanished residual gets
@@ -147,14 +145,15 @@ void low_rank_update_batch(const linalg::Matrix& basis,
   ws.coeffs.resize_no_shrink(n);
   const linalg::simd::Kernels& kn = linalg::simd::active();
   for (std::size_t m = k; m < n; ++m) {
-    double* f = w.row_span(m).data();
+    double* f = ws.a.row_span(m - k).data();
     const double f_norm = std::sqrt(kn.dot(f, f, d));
-    const double rho = project_out(w, m, f, ws.coeffs.data(), &ws.core, m);
+    const double rho =
+        project_out(w, m, d, f, ws.coeffs.data(), &ws.core, m);
     if (rho > kNullResidual * f_norm) {
       ws.core(m, m) = rho;
       scale(f, 1.0 / rho, d);
     } else {
-      complete_direction(w, m, f, ws.coeffs.data());
+      complete_direction(w, m, d, f, ws.coeffs.data());
     }
   }
 
@@ -176,28 +175,18 @@ void low_rank_update_batch(const linalg::Matrix& basis,
     core_eig(ws, n);
   }
 
-  // E_new = [E | Q] U_K[:, :p], one axpy per (output, input) row pair, then
-  // transposed into the row-major basis.
+  // E_new = [E | Q] U_K[:, :p] as one blocked rotation of the rows, written
+  // over `e_out` — which may be `vectors` itself, read last right here.
+  // If p > k+batch (larger rank than columns available) the remaining
+  // eigenpairs are zero — they fill in as more data arrives.
   const std::size_t keep = std::min(p, n);
-  ws.u.resize_no_shrink(keep, d);
-  for (std::size_t c = 0; c < keep; ++c) {
-    double* out = ws.u.row_span(c).data();
-    std::fill(out, out + d, 0.0);
-    for (std::size_t j = 0; j < n; ++j) {
-      kn.axpy(out, w.row_span(j).data(), ws.core_u(j, c), d);
-    }
-  }
-  e_out.resize_no_shrink(d, p);
+  e_out.resize_no_shrink(p, d);
+  ws.stage.resize_no_shrink(p * linalg::simd::kRotateStageWidth);
+  kn.rotate_rows(vectors.data(), k, ws.a.data(), batch, ws.core_u.data(),
+                 ws.core_u.cols(), d, e_out.data(), p, ws.stage.data());
   lambda_out.resize_no_shrink(p);
   for (std::size_t c = 0; c < keep; ++c) lambda_out[c] = ws.core_lambda[c];
-  // If p > k+batch (larger rank than columns available) the remaining
-  // eigenpairs are zeroed — they fill in as more data arrives.  Explicit
-  // because resize_no_shrink leaves stale values behind.
   for (std::size_t c = keep; c < p; ++c) lambda_out[c] = 0.0;
-  for (std::size_t r = 0; r < d; ++r) {
-    for (std::size_t c = 0; c < keep; ++c) e_out(r, c) = ws.u(c, r);
-    for (std::size_t c = keep; c < p; ++c) e_out(r, c) = 0.0;
-  }
 }
 
 IncrementalPca::IncrementalPca(const IncrementalPcaConfig& config)
@@ -238,7 +227,6 @@ void IncrementalPca::observe_batch(const linalg::Vector* const* xs,
   const std::size_t p = config_.rank;
   const std::size_t d = config_.dim;
   ws_.ensure(d, p + b);
-  ws_.a.resize_no_shrink(p + b, d);
 
   // Pass 1 — per-tuple scalar recursions: residual against the pre-batch
   // basis and the running mean, forgetting-sum advance (every observation
@@ -254,7 +242,7 @@ void IncrementalPca::observe_batch(const linalg::Vector* const* xs,
     const double gamma = gammas.g3;
     mean *= gamma;
     mean.axpy(1.0 - gamma, x);
-    const auto f = ws_.a.row_span(p + i);
+    const auto f = ws_.a.row_span(i);
     for (std::size_t r = 0; r < d; ++r) f[r] = x[r] - mean[r];
     ws_.batch_gammas[i] = gamma;
     system_.set_sigma2(gamma * system_.sigma2() + (1.0 - gamma) * r2);
@@ -268,12 +256,12 @@ void IncrementalPca::observe_batch(const linalg::Vector* const* xs,
   for (std::size_t i = b; i-- > 0;) {
     const double w =
         std::sqrt(std::max(0.0, (1.0 - ws_.batch_gammas[i]) * suffix));
-    for (double& v : ws_.a.row_span(p + i)) v *= w;
+    for (double& v : ws_.a.row_span(i)) v *= w;
     suffix *= ws_.batch_gammas[i];
   }
 
-  low_rank_update_batch(system_.basis(), system_.eigenvalues(), suffix, b, p,
-                        ws_, system_.mutable_basis(),
+  low_rank_update_batch(system_.vectors(), system_.eigenvalues(), suffix, b,
+                        p, ws_, system_.mutable_vectors(),
                         system_.mutable_eigenvalues());
 }
 
@@ -306,13 +294,13 @@ void IncrementalPca::initialize_from_buffer() {
         f[r] = (init_buffer_[c][r] - mean[r]) * inv_sqrt_n;
       }
     }
-    linalg::Matrix basis;
+    linalg::Matrix vectors;
     linalg::Vector lambda;
-    low_rank_update_batch(linalg::Matrix(d, 0), linalg::Vector(), 1.0, n,
-                          config_.rank, init_ws, basis, lambda);
-    system_ = EigenSystem(std::move(mean), std::move(basis),
-                          std::move(lambda), 0.0,
-                          stats::RobustRunningSums(config_.alpha), 0);
+    low_rank_update_batch(linalg::Matrix(0, d), linalg::Vector(), 1.0, n,
+                          config_.rank, init_ws, vectors, lambda);
+    system_ = EigenSystem::from_vectors(
+        std::move(mean), std::move(vectors), std::move(lambda), 0.0,
+        stats::RobustRunningSums(config_.alpha), 0);
   }
 
   // Replay the buffer through the running sums so merge weights reflect the

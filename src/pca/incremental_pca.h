@@ -25,7 +25,8 @@
 //
 // There is one update path: observe(x) is a micro-batch of one, and every
 // batch stages its weighted fresh rows in the workspace and makes one call
-// to low_rank_update_batch, the kernel below.  The init batch is the same
+// to low_rank_update_batch, the kernel below, which rotates the
+// eigensystem's eigenvector rows in place.  The init batch is the same
 // call on an empty eigensystem.
 //
 // This is both the Figure-1 "classical" baseline (sensitive to outliers)
@@ -112,26 +113,29 @@ class IncrementalPca {
 /// A = [ E √(history_scale·Λ) | f_1 | ... | f_b ] (d x (k+b)), without
 /// forming A.  Tuples and micro-batches, merges (pca/merge.h: system 0 is
 /// E, the others' scaled eigenvectors and the mean corrections are the
-/// f_i) and the init batch (k = 0, an empty eigensystem) all call it.  It
-/// copies the orthonormal E into rows [0, k) of ws.a, CGS2-projects each
-/// f_i against E and the residual directions before it (the coefficients
-/// fill column k+i of the upper-triangular (k+b) x (k+b) core K, the
-/// normalized residual replaces f_i), takes the eigensystem of K Kᵀ — for
-/// batch = 1 as diagonal plus rank one (linalg::rank_one_eig), otherwise
-/// by Householder + QL (linalg::eig_sym_tridiag) with each λ recomputed
-/// as the Rayleigh quotient ‖Kᵀu‖² on K — and rotates E_new =
-/// [E Q] U_K[:, :p].  A residual at rounding level (f_i in the span, zero,
-/// or a repeat) gets ρ_i = 0 and a unit direction completing [E Q], so the
-/// output stays orthonormal; once [E Q] spans R^d there is nothing left to
-/// complete and the row stays zero, an exact null direction of K Kᵀ.
-/// Caller contract: ws.a is already resized to (k+batch) x d and its rows
-/// [k, k+batch) hold the fresh directions, each pre-scaled by the square
-/// root of its blended weight (see IncrementalPca::observe_batch for the
-/// weight algebra); `history_scale` is the product of the per-tuple history
-/// coefficients.  `basis` is read only before any output is written, so
-/// `e_out` / `lambda_out` may alias `basis` / `eigenvalues`.  Zero heap
-/// allocations once ws has reached this shape.
-void low_rank_update_batch(const linalg::Matrix& basis,
+/// f_i) and the init batch (k = 0, an empty eigensystem) all call it.  E
+/// is read where it lives, as the k eigenvector rows of `vectors`
+/// (EigenSystem::vectors()).  Each f_i is CGS2-projected against E and the
+/// residual directions before it (the coefficients fill column k+i of the
+/// upper-triangular (k+b) x (k+b) core K, the normalized residual replaces
+/// f_i); the eigensystem of K Kᵀ is taken — for batch = 1 as diagonal plus
+/// rank one (linalg::rank_one_eig), otherwise by Householder + QL
+/// (linalg::eig_sym_tridiag) with each λ recomputed as the Rayleigh
+/// quotient ‖Kᵀu‖² on K — and E_new = [E Q] U_K[:, :p] is one blocked row
+/// rotation (simd::Kernels::rotate_rows).  A residual at rounding level
+/// (f_i in the span, zero, or a repeat) gets ρ_i = 0 and a unit direction
+/// completing [E Q], so the output stays orthonormal; once [E Q] spans R^d
+/// there is nothing left to complete and the row stays zero, an exact null
+/// direction of K Kᵀ.
+/// Caller contract: rows [0, batch) of ws.a (d columns) hold the fresh
+/// directions, each pre-scaled by the square root of its blended weight
+/// (see IncrementalPca::observe_batch for the weight algebra);
+/// `history_scale` is the product of the per-tuple history coefficients.
+/// `e_out` receives the p x d eigenvector rows and may be `vectors` itself
+/// when k == p (the rotation writes each row over its own input row);
+/// `lambda_out` may be `eigenvalues`.  Zero heap allocations once ws has
+/// reached this shape.
+void low_rank_update_batch(const linalg::Matrix& vectors,
                            const linalg::Vector& eigenvalues,
                            double history_scale, std::size_t batch,
                            std::size_t p, UpdateWorkspace& ws,

@@ -60,14 +60,15 @@ EigenSystem merge_systems(const EigenSystem* const* systems, std::size_t k,
   for (std::size_t i = 1; i < k; ++i) fresh += systems[i]->rank();
   UpdateWorkspace ws;
   ws.ensure(d, k0 + fresh);
-  std::size_t row = k0;
+  std::size_t row = 0;
   for (std::size_t i = 1; i < k; ++i) {
     const EigenSystem& s = *systems[i];
     for (std::size_t c = 0; c < s.rank(); ++c, ++row) {
       const double scale =
           std::sqrt(std::max(0.0, gamma[i] * s.eigenvalues()[c]));
+      const auto e = s.vectors().row_span(c);
       const auto f = ws.a.row_span(row);
-      for (std::size_t r = 0; r < d; ++r) f[r] = s.basis()(r, c) * scale;
+      for (std::size_t r = 0; r < d; ++r) f[r] = e[r] * scale;
     }
   }
   if (!opts.assume_equal_means) {
@@ -79,10 +80,10 @@ EigenSystem merge_systems(const EigenSystem* const* systems, std::size_t k,
       }
     }
   }
-  linalg::Matrix basis;
+  linalg::Matrix vectors;
   linalg::Vector lambda;
-  low_rank_update_batch(base.basis(), base.eigenvalues(), gamma[0], fresh,
-                        rank_out, ws, basis, lambda);
+  low_rank_update_batch(base.vectors(), base.eigenvalues(), gamma[0], fresh,
+                        rank_out, ws, vectors, lambda);
 
   // Pool the running sums (independent partitions add) and the scale
   // (u-weighted so engines that absorbed more data dominate).
@@ -102,10 +103,11 @@ EigenSystem merge_systems(const EigenSystem* const* systems, std::size_t k,
   // final results): pin the decomposition's arbitrary per-column signs to
   // the deterministic convention so merged bases are reproducible across
   // runs and restarts (pca/continuity.h).
-  apply_sign_convention(basis);
-
-  return EigenSystem(std::move(mean), std::move(basis), std::move(lambda),
-                     sigma2, sums, observations);
+  EigenSystem merged =
+      EigenSystem::from_vectors(std::move(mean), std::move(vectors),
+                                std::move(lambda), sigma2, sums, observations);
+  apply_sign_convention(merged);
+  return merged;
 }
 
 }  // namespace

@@ -37,11 +37,11 @@ double robust_variance_along(std::span<const linalg::Vector> data,
 
 linalg::Vector robust_eigenvalues(std::span<const linalg::Vector> data,
                                   const linalg::Vector& mean,
-                                  const linalg::Matrix& basis,
+                                  const linalg::Matrix& vectors,
                                   const stats::RhoFunction& rho, double delta) {
-  linalg::Vector out(basis.cols());
-  for (std::size_t k = 0; k < basis.cols(); ++k) {
-    out[k] = robust_variance_along(data, mean, basis.col(k), rho, delta);
+  linalg::Vector out(vectors.rows());
+  for (std::size_t k = 0; k < vectors.rows(); ++k) {
+    out[k] = robust_variance_along(data, mean, vectors.row(k), rho, delta);
   }
   return out;
 }

@@ -24,11 +24,12 @@ namespace astro::pca {
                                            const stats::RhoFunction& rho,
                                            double delta = 0.5);
 
-/// Robust eigenvalue for every column of `basis`; the robust analogue of
-/// the classical λ_k = var(e_kᵀ y).
+/// Robust eigenvalue for every row e_k of `vectors` (one eigenvector per
+/// row, as EigenSystem::vectors()); the robust analogue of the classical
+/// λ_k = var(e_kᵀ y).
 [[nodiscard]] linalg::Vector robust_eigenvalues(
     std::span<const linalg::Vector> data, const linalg::Vector& mean,
-    const linalg::Matrix& basis, const stats::RhoFunction& rho,
+    const linalg::Matrix& vectors, const stats::RhoFunction& rho,
     double delta = 0.5);
 
 }  // namespace astro::pca

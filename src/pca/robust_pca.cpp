@@ -155,7 +155,7 @@ void RobustIncrementalPca::observe_batch(const linalg::Vector* const* xs,
     double g3 = 0.0;
     for (std::size_t i = j; i < j + chunk; ++i) {
       system_.center_into(*xs[i], ws_.y);
-      system_.basis().transpose_times_into(ws_.y, ws_.coeffs);
+      system_.coefficients_into(ws_.y, p, ws_.coeffs);
       double proj = 0.0;
       for (std::size_t k = 0; k < p; ++k) proj += ws_.coeffs[k] * ws_.coeffs[k];
       reports[i] = ObservationReport{};
@@ -223,9 +223,7 @@ double RobustIncrementalPca::step(const linalg::Vector& x, double r2,
   // flush().  An outlier (γ₂ == 1) or a residual too tiny to normalize
   // leaves C untouched and stages nothing.
   if (g.g2 < 1.0 && r2 > kTinyResidual) {
-    const std::size_t row = config_.rank + config_.extra_rank + staged_;
-    ws_.a.resize_no_shrink(row + 1, config_.dim);
-    const auto f = ws_.a.row_span(row);
+    const auto f = ws_.a.row_span(staged_);
     for (std::size_t r = 0; r < config_.dim; ++r) f[r] = x[r] - mean[r];
     ws_.batch_gammas[staged_] = g.g2;
     ws_.batch_weights[staged_] = (1.0 - g.g2) * system_.sigma2() / r2;
@@ -242,17 +240,16 @@ void RobustIncrementalPca::flush(std::size_t n) {
   // and decompose once (eq. 10 realized through eq. 1-3).  Nothing staged
   // (every tuple rejected or skipped) means C is untouched: no update.
   if (staged_ > 0) {
-    const std::size_t full = config_.rank + config_.extra_rank;
     double suffix = 1.0;
     for (std::size_t i = staged_; i-- > 0;) {
       const double w =
           std::sqrt(std::max(0.0, ws_.batch_weights[i] * suffix));
-      for (double& v : ws_.a.row_span(full + i)) v *= w;
+      for (double& v : ws_.a.row_span(i)) v *= w;
       suffix *= ws_.batch_gammas[i];
     }
-    low_rank_update_batch(system_.basis(), system_.eigenvalues(), suffix,
+    low_rank_update_batch(system_.vectors(), system_.eigenvalues(), suffix,
                           staged_, system_.rank(), ws_,
-                          system_.mutable_basis(),
+                          system_.mutable_vectors(),
                           system_.mutable_eigenvalues());
     staged_ = 0;
   }
@@ -271,7 +268,7 @@ void RobustIncrementalPca::track_robust_eigenvalues(const linalg::Vector& x,
   // with the residual replaced by the projection of x − µ onto each
   // updated e_k.
   system_.center_into(x, ws_.y);
-  system_.basis().transpose_times_into(ws_.y, ws_.coeffs);
+  system_.coefficients_into(ws_.y, config_.rank, ws_.coeffs);
   for (std::size_t k = 0; k < config_.rank; ++k) {
     const double ck2 = ws_.coeffs[k] * ws_.coeffs[k];
     const double sk2 = std::max(robust_eigenvalues_[k], kTinyResidual);
@@ -338,9 +335,10 @@ void RobustIncrementalPca::initialize_from_buffer() {
   bopts.candidate_extra = std::max<std::size_t>(2, config_.init_count / 8);
   const BatchRobustResult robust_init = batch_robust_pca(imputed, full, bopts);
 
-  system_ = EigenSystem(robust_init.system.mean(), robust_init.system.basis(),
-                        robust_init.system.eigenvalues(), 0.0,
-                        stats::RobustRunningSums(config_.alpha), 0);
+  system_ = EigenSystem::from_vectors(
+      robust_init.system.mean(), robust_init.system.vectors(),
+      robust_init.system.eigenvalues(), 0.0,
+      stats::RobustRunningSums(config_.alpha), 0);
 
   // Seed sigma2 with the M-scale of the rank-p residuals of the batch, and
   // replay the buffer through the running sums with the implied weights.
@@ -429,16 +427,14 @@ EigenSystem truncate(const EigenSystem& system, std::size_t p) {
   if (p > system.rank()) {
     throw std::invalid_argument("truncate: p exceeds system rank");
   }
-  linalg::Matrix basis(system.dim(), p);
+  const std::size_t d = system.dim();
+  linalg::Matrix vectors(p, d);
   linalg::Vector lambda(p);
-  for (std::size_t c = 0; c < p; ++c) {
-    lambda[c] = system.eigenvalues()[c];
-    for (std::size_t r = 0; r < system.dim(); ++r) {
-      basis(r, c) = system.basis()(r, c);
-    }
-  }
-  return EigenSystem(system.mean(), std::move(basis), std::move(lambda),
-                     system.sigma2(), system.sums(), system.observations());
+  std::copy_n(system.vectors().data(), p * d, vectors.data());
+  std::copy_n(system.eigenvalues().data(), p, lambda.data());
+  return EigenSystem::from_vectors(system.mean(), std::move(vectors),
+                                   std::move(lambda), system.sigma2(),
+                                   system.sums(), system.observations());
 }
 
 }  // namespace astro::pca

@@ -14,15 +14,16 @@
 // behaves bit-identically to a fresh one.
 //
 // The low-rank update (incremental_pca.h) never decomposes the d x (k+b)
-// matrix A of eq. (1)-(3).  It projects the b fresh columns onto the
-// basis, orthonormalizes their residuals, and decomposes only the
-// (k+b) x (k+b) core — for one tuple (b = 1) as the rank-one eigenproblem
+// matrix A of eq. (1)-(3).  It projects the b fresh rows onto the basis,
+// orthonormalizes their residuals, and decomposes only the (k+b) x (k+b)
+// core — for one tuple (b = 1) as the rank-one eigenproblem
 // diag(δ) + z zᵀ, for a micro-batch as the symmetric K Kᵀ by Householder +
-// QL; the d-long buffers below are the columns that projection and the
-// final rotation stream over, stored one per row so every pass is a
-// contiguous SIMD dot/axpy.  Merges and the init batch run the same kernel
-// on a workspace of their own, so their one-off shapes never grow an
-// engine's.
+// QL.  The basis itself never enters the workspace: the eigensystem keeps
+// its eigenvectors one per row (pca/eigensystem.h), the kernel projects
+// against those rows where they are and rotates them in place.  The only
+// d-long buffers here are the fresh rows and the centered observation.
+// Merges and the init batch run the same kernel on a workspace of their
+// own, so their one-off shapes never grow an engine's.
 //
 // Not thread-safe: a workspace belongs to the single thread driving its
 // engine, matching the one-engine-one-thread execution model of the
@@ -32,17 +33,16 @@
 
 #include "linalg/matrix.h"
 #include "linalg/rank_one_eig.h"
+#include "linalg/simd.h"
 #include "linalg/tridiag.h"
 #include "linalg/vector.h"
 
 namespace astro::pca {
 
 struct UpdateWorkspace {
-  /// [E | F] one column per row: rows [0, k) receive the basis, rows
-  /// [k, k+b) hold the fresh directions (staged by the caller for a
-  /// micro-batch) and are overwritten with their residual directions Q.
+  /// The fresh directions F, one per row: rows [0, b) are staged by the
+  /// caller and overwritten with their residual directions Q.
   linalg::Matrix a;
-  linalg::Matrix u;             ///< [E | Q] U_K, one output column per row
   linalg::Matrix core;          ///< (k+b) x (k+b) core K
   /// Eigenvectors U_K of K Kᵀ; for a micro-batch it first holds K Kᵀ.
   linalg::Matrix core_u;
@@ -52,6 +52,8 @@ struct UpdateWorkspace {
   /// then holds z = (c, ρ), the core's fresh column.
   linalg::Vector coeffs;
   linalg::Vector poles;         ///< δ_i = K(i,i)², the b = 1 solver's input
+  /// Scratch of the row rotation (simd::Kernels::rotate_rows).
+  linalg::Vector stage;
   linalg::RankOneEigWorkspace rank_one;  ///< secular scratch (b = 1 core)
   linalg::TridiagWorkspace tridiag;      ///< QL scratch (b > 1 core)
   /// Micro-batch scalar scratch (DESIGN.md "Micro-batching"): one slot per
@@ -64,19 +66,20 @@ struct UpdateWorkspace {
 
   /// Pre-grows every buffer for a d-dimensional engine whose update has
   /// `cols` = k+b columns — k+1 for the per-tuple path, k+b for a
-  /// micro-batch of b observations.  Idempotent and never shrinks, so
+  /// micro-batch of b observations (`a` gets all `cols` rows, a bound on
+  /// the b it stages).  Idempotent and never shrinks, so
   /// calling it again (checkpoint restore, merge install, batch-size
   /// growth) on an already-sized workspace is free once the high-water
   /// shape is reached.
   void ensure(std::size_t d, std::size_t cols) {
     a.resize_no_shrink(cols, d);
-    u.resize_no_shrink(cols, d);
     core.resize_no_shrink(cols, cols);
     core_u.resize_no_shrink(cols, cols);
     core_lambda.resize_no_shrink(cols);
     y.resize_no_shrink(d);
     coeffs.resize_no_shrink(cols);
     poles.resize_no_shrink(cols);
+    stage.resize_no_shrink(cols * linalg::simd::kRotateStageWidth);
     rank_one.reserve(cols);
     tridiag.reserve(cols);
     batch_gammas.resize_no_shrink(cols);

@@ -52,7 +52,7 @@ QueryStatus SnapshotServer::project(const linalg::Vector& spectrum,
   if (spectrum.size() != sys.dim()) return QueryStatus::kBadDimension;
   ws.centered.resize_no_shrink(sys.dim());
   sys.center_into(spectrum, ws.centered);
-  sys.basis().transpose_times_into(ws.centered, out.coefficients);
+  sys.coefficients_into(ws.centered, sys.rank(), out.coefficients);
   out.version = v->version();
   out.engine = v->engine();
   out.observations = v->observations();
@@ -129,9 +129,8 @@ QueryStatus SnapshotServer::top_k_components(
   for (std::size_t i = 0; i < k; ++i) {
     fresh->eigenvalues[i] = sys.eigenvalues()[i];
     retained += sys.eigenvalues()[i];
-    for (std::size_t r = 0; r < sys.dim(); ++r) {
-      fresh->components(r, i) = sys.basis()(r, i);
-    }
+    const auto e = sys.vectors().row_span(i);
+    for (std::size_t r = 0; r < sys.dim(); ++r) fresh->components(r, i) = e[r];
   }
   fresh->retained_variance = retained;
   const TopKResult* resident = v->install_top_k(k, std::move(fresh));

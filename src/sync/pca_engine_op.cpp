@@ -144,8 +144,8 @@ void PcaEngineOperator::apply_batch_locked() {
     // detects it.
     if (fault_.health_check_every > 0 &&
         stats_.tuples % fault_.health_check_every == 0) {
-      const pca::HealthReport health = pca::check_health(
-          pca_.eigensystem(), fault_.health_thresholds, health_ws_);
+      const pca::HealthReport health =
+          pca::check_health(pca_.eigensystem(), fault_.health_thresholds);
       if (!health.ok()) {
         throw pca::NumericalFault{health.fault};  // lock_guard unwinds
       }

@@ -247,7 +247,6 @@ class PcaEngineOperator final : public stream::Operator {
   /// the micro-batch size the controller picked.
   static constexpr std::size_t kYieldStride = 8;
   std::size_t tuples_since_yield_ = 0;  // engine-thread-only
-  pca::HealthWorkspace health_ws_;  // guarded by state_mutex_
   std::atomic<std::uint64_t> heartbeat_{0};
   std::atomic<int> lifecycle_{int(EngineLifecycle::kIdle)};
   std::atomic<bool> healthy_{true};

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "pca/robust_pca.h"
 #include "pca/subspace.h"
@@ -46,6 +47,41 @@ TEST(Checkpoint, RoundTripsEverything) {
   EXPECT_TRUE(approx_equal(loaded.mean(), original.mean(), 0.0));
   EXPECT_TRUE(approx_equal(loaded.eigenvalues(), original.eigenvalues(), 0.0));
   EXPECT_TRUE(approx_equal(loaded.basis(), original.basis(), 0.0));
+}
+
+// The ASPC byte layout, pinned: header, dim, rank, observations, alpha,
+// σ², the running sums u v q, the mean, the eigenvalues, then the basis
+// row-major d x p (entry (r, c) is pixel r of eigenvector c), every field
+// little-endian.  A fixed 3 x 2 system with exactly representable values;
+// the basis entries are all distinct, so writing it in any other order
+// changes the bytes.
+TEST(Checkpoint, ByteLayoutGolden) {
+  stats::RobustRunningSums sums(0.5);
+  sums.restore(10.0, 9.0, 2.5);
+  const pca::EigenSystem system(
+      linalg::Vector{1.0, -2.0, 0.5},
+      linalg::Matrix{{0.5, -0.25}, {1.5, 2.0}, {-3.0, 0.125}},
+      linalg::Vector{4.0, 1.0}, 0.75, sums, 42);
+  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  save_eigensystem(buf, system, 0.5);
+
+  const std::string bytes = buf.str();
+  std::string hex;
+  constexpr char kDigits[] = "0123456789abcdef";
+  for (unsigned char b : bytes) {
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 0xF];
+  }
+  const std::string golden =
+      "0100000043505341030000000000000002000000000000002a00000000000000"
+      "000000000000e03f000000000000e83f00000000000024400000000000002240"
+      "0000000000000440000000000000f03f00000000000000c0000000000000e03f"
+      "0000000000001040000000000000f03f000000000000e03f000000000000d0bf"
+      "000000000000f83f000000000000004000000000000008c0000000000000c03f";
+  EXPECT_EQ(hex, golden);
+
+  const pca::EigenSystem loaded = load_eigensystem(buf);
+  EXPECT_EQ(loaded.basis(), system.basis());
 }
 
 TEST(Checkpoint, BadMagicRejected) {

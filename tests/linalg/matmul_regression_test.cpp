@@ -1,5 +1,5 @@
-// Tolerance-ZERO regression of the cache-friendly matmul/gram/A^T v
-// kernels against naive reference implementations.  The i-k-j rewrite
+// Tolerance-ZERO regression of the cache-friendly matmul/gram kernels
+// against naive reference implementations.  The i-k-j rewrite
 // reorders the loops but not the per-entry accumulation order (terms still
 // arrive in increasing k / row index), so every entry must match the naive
 // triple loop exactly — EXPECT_EQ on doubles, no epsilon.
@@ -23,16 +23,6 @@ Matrix naive_multiply(const Matrix& a, const Matrix& b) {
       for (std::size_t k = 0; k < a.cols(); ++k) acc += a(i, k) * b(k, j);
       out(i, j) = acc;
     }
-  }
-  return out;
-}
-
-Vector naive_transpose_times(const Matrix& a, const Vector& v) {
-  Vector out(a.cols());
-  for (std::size_t j = 0; j < a.cols(); ++j) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < a.rows(); ++i) acc += a(i, j) * v[i];
-    out[j] = acc;
   }
   return out;
 }
@@ -80,18 +70,6 @@ TEST(MatmulRegression, ProductWithExactZerosMatchesNaive) {
   expect_exactly_equal(a * b, naive_multiply(a, b));
 }
 
-TEST(MatmulRegression, TransposeTimesMatchesNaiveExactly) {
-  for (std::uint64_t seed : {6u, 7u, 8u}) {
-    Rng rng(seed);
-    const Matrix a = rng.gaussian_matrix(40, 12);
-    const Vector v = rng.gaussian_vector(40);
-    const Vector got = a.transpose_times(v);
-    const Vector want = naive_transpose_times(a, v);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t j = 0; j < got.size(); ++j) EXPECT_EQ(got[j], want[j]);
-  }
-}
-
 TEST(MatmulRegression, GramMatchesNaiveExactly) {
   for (std::uint64_t seed : {9u, 10u}) {
     Rng rng(seed);
@@ -104,16 +82,10 @@ TEST(MatmulRegression, IntoVariantsReuseCapacityAndMatchOperators) {
   Rng rng(12);
   const Matrix a = rng.gaussian_matrix(10, 6);
   const Matrix b = rng.gaussian_matrix(6, 4);
-  const Vector v = rng.gaussian_vector(10);
 
   Matrix mout(30, 30);  // oversized: shrink must reuse capacity
-  Vector vout(50);
   a.multiply_into(b, mout);
   expect_exactly_equal(mout, a * b);
-  a.transpose_times_into(v, vout);
-  EXPECT_EQ(vout, a.transpose_times(v));
-  a.gram_into(mout);
-  expect_exactly_equal(mout, a.gram());
 }
 
 }  // namespace

@@ -68,14 +68,6 @@ TEST(Matrix, MatVec) {
   EXPECT_THROW(a * Vector(3), std::invalid_argument);
 }
 
-TEST(Matrix, TransposeTimes) {
-  Matrix a{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};
-  Vector v{1.0, 0.0, 2.0};
-  const Vector expected = a.transpose() * v;
-  const Vector got = a.transpose_times(v);
-  EXPECT_TRUE(approx_equal(expected, got, 1e-14));
-}
-
 TEST(Matrix, TransposeRoundTrip) {
   Matrix a{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
   const Matrix t = a.transpose();

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -51,6 +52,10 @@ TEST(SimdDispatch, DetectReportsRunnableMode) {
   EXPECT_TRUE(std::isfinite(d));
   k.axpy(a.data(), b.data(), 0.5, a.size());
   k.rotate2(a.data(), b.data(), 0.8, 0.6, a.size());
+  std::vector<double> out(a.size()), stage(simd::kRotateStageWidth);
+  const double u[] = {0.6, 0.8};
+  k.rotate_rows(a.data(), 1, b.data(), 1, u, 1, a.size(), out.data(), 1,
+                stage.data());
 }
 
 TEST(SimdDispatch, ActiveDefaultsToDetectedBest) {
@@ -132,6 +137,57 @@ TEST(SimdDispatch, Rotate2BitIdenticalToScalarAllTails) {
             << simd::mode_name(m) << " rotate2.x n=" << n << " i=" << i;
         ASSERT_EQ(y_want[i], y_got[i])
             << simd::mode_name(m) << " rotate2.y n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+// The row rotation, out row c = Σ_j U(j, c) x_j, against the plain chain
+// it replaces: each output row zeroed, then one scalar-tier axpy per input
+// row in order.  Every tier must reproduce that chain exactly, in place
+// (output row c written over input row c) and out of place, across
+// remainder columns of every vector width, ranks on both sides of each
+// tier's register block, and more outputs than inputs (zero rows).
+TEST(SimdDispatch, RotateRowsBitIdenticalToAxpyChain) {
+  std::vector<simd::Mode> modes = supported_vector_modes();
+  modes.insert(modes.begin(), simd::Mode::kScalar);
+  const simd::Kernels& scalar = simd::kernels_for(simd::Mode::kScalar);
+  for (std::size_t d : {1, 7, 8, 9, 250, 251}) {
+    for (std::size_t p : {1, 5, 7, 10, 16, 23}) {
+      for (std::size_t n = 1; n <= p + 22; ++n) {
+        // All the head rows the outputs can alias, or half of them.
+        for (std::size_t k : {std::min(p, n), std::min(p, n) / 2}) {
+          const std::size_t b = n - k;
+          const std::size_t ldu = n + 2;
+          const std::uint64_t seed = d * 100000 + p * 1000 + n * 10 + k;
+          const auto head = random_doubles(k * d, seed);
+          const auto tail = random_doubles(b * d, seed + 1);
+          const auto u = random_doubles(n * ldu, seed + 2);
+
+          std::vector<double> want(p * d, 0.0);
+          for (std::size_t c = 0; c < std::min(p, n); ++c) {
+            for (std::size_t j = 0; j < n; ++j) {
+              const double* x =
+                  j < k ? head.data() + j * d : tail.data() + (j - k) * d;
+              scalar.axpy(want.data() + c * d, x, u[j * ldu + c], d);
+            }
+          }
+
+          for (simd::Mode m : modes) {
+            const simd::Kernels& kn = simd::kernels_for(m);
+            for (bool in_place : {false, true}) {
+              std::vector<double> out(p * d, 7.0);  // stale rows
+              if (in_place) std::copy(head.begin(), head.end(), out.begin());
+              std::vector<double> stage(p * simd::kRotateStageWidth);
+              kn.rotate_rows(in_place ? out.data() : head.data(), k,
+                             tail.data(), b, u.data(), ldu, d, out.data(), p,
+                             stage.data());
+              ASSERT_EQ(out, want)
+                  << simd::mode_name(m) << (in_place ? " in place" : "")
+                  << " d=" << d << " p=" << p << " n=" << n << " k=" << k;
+            }
+          }
+        }
       }
     }
   }

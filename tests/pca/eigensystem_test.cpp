@@ -86,7 +86,7 @@ TEST(EigenSystem, RetainedVariance) {
 TEST(EigenSystem, BasisDriftAndReorthonormalize) {
   EigenSystem s = small_system();
   EXPECT_NEAR(s.basis_drift(), 0.0, 1e-15);
-  s.mutable_basis()(0, 1) = 0.3;  // break orthogonality
+  s.mutable_vectors()(1, 0) = 0.3;  // break orthogonality
   EXPECT_GT(s.basis_drift(), 0.01);
   s.reorthonormalize();
   EXPECT_NEAR(s.basis_drift(), 0.0, 1e-12);

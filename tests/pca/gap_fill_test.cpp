@@ -136,12 +136,12 @@ TEST(GapFill, HigherOrderComponentsEstimateMissingResidual) {
   const double corrected = corrected_squared_residual(s, 2, fill.patched, mask);
   // Observed-only residual (ignore missing bins entirely).
   const linalg::Vector y = s.center(fill.patched);
-  const linalg::Vector c = s.basis().transpose_times(y);
+  const linalg::Vector c = s.project(fill.patched);
   double observed_only = 0.0;
   for (std::size_t i = 0; i < 30; ++i) {
     if (!mask[i]) continue;
     double ri = y[i];
-    for (std::size_t k = 0; k < 2; ++k) ri -= c[k] * s.basis()(i, k);
+    for (std::size_t k = 0; k < 2; ++k) ri -= c[k] * s.vectors()(k, i);
     observed_only += ri * ri;
   }
   EXPECT_GT(corrected, observed_only);

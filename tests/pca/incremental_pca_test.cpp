@@ -161,7 +161,8 @@ TEST(LowRankUpdate, PreservesTotalVarianceWeighting) {
   // gamma * lambda + (1-gamma) * |y|^2 equals the new eigenvalue mass when
   // p covers the full column space of A.
   Rng rng(83);
-  linalg::Matrix basis = stats::random_orthonormal(rng, 10, 2);
+  const linalg::Matrix vectors =
+      stats::random_orthonormal(rng, 10, 2).transpose();
   linalg::Vector lambda{5.0, 2.0};
   linalg::Vector y = rng.gaussian_vector(10);
   const double gamma = 0.9;
@@ -169,25 +170,25 @@ TEST(LowRankUpdate, PreservesTotalVarianceWeighting) {
   linalg::Matrix e_out;
   linalg::Vector l_out;
   UpdateWorkspace ws;
-  testing::stage_fresh_row(ws, y, 1.0 - gamma, 2);
-  low_rank_update_batch(basis, lambda, gamma, 1, 3, ws, e_out, l_out);
+  testing::stage_fresh_row(ws, y, 1.0 - gamma);
+  low_rank_update_batch(vectors, lambda, gamma, 1, 3, ws, e_out, l_out);
 
   const double mass_in = gamma * (5.0 + 2.0) + (1.0 - gamma) * y.squared_norm();
   EXPECT_NEAR(l_out.sum(), mass_in, 1e-9);
-  EXPECT_LT(linalg::orthonormality_error(e_out), 1e-10);
+  EXPECT_LT(linalg::orthonormality_error(e_out.transpose()), 1e-10);
 }
 
 TEST(LowRankUpdate, RankPadsWithZeros) {
   // p larger than the A-matrix column count leaves trailing eigenpairs 0.
-  linalg::Matrix basis(4, 1);
-  basis(0, 0) = 1.0;
+  linalg::Matrix vectors(1, 4);
+  vectors(0, 0) = 1.0;
   linalg::Vector lambda{3.0};
   linalg::Vector y{0.0, 2.0, 0.0, 0.0};
   linalg::Matrix e_out;
   linalg::Vector l_out;
   UpdateWorkspace ws;
-  testing::stage_fresh_row(ws, y, 0.5, 1);
-  low_rank_update_batch(basis, lambda, 0.5, 1, 4, ws, e_out, l_out);
+  testing::stage_fresh_row(ws, y, 0.5);
+  low_rank_update_batch(vectors, lambda, 0.5, 1, 4, ws, e_out, l_out);
   EXPECT_EQ(l_out.size(), 4u);
   EXPECT_NEAR(l_out[2], 0.0, 1e-12);
   EXPECT_NEAR(l_out[3], 0.0, 1e-12);

@@ -83,23 +83,28 @@ Problem make_problem(std::uint64_t seed, std::size_t d, std::size_t k,
 }
 
 struct Update {
-  Matrix basis;
+  Matrix basis;  // d x p, as the reference decomposition returns it
   Vector lambda;
 };
 
-Update run_kernel(const Problem& pr, std::size_t p) {
+// Rows [0, b) of ws.a take the fresh columns of `pr`.
+void stage_fresh(const Problem& pr, UpdateWorkspace& ws) {
   const std::size_t d = pr.basis.rows();
-  const std::size_t k = pr.lambda.size();
   const std::size_t b = pr.fresh.cols();
-  UpdateWorkspace ws;
-  Update out;
-  ws.ensure(d, k + b);
-  ws.a.resize_no_shrink(k + b, d);
+  ws.ensure(d, pr.lambda.size() + b);
   for (std::size_t i = 0; i < b; ++i) {
-    for (std::size_t r = 0; r < d; ++r) ws.a(k + i, r) = pr.fresh(r, i);
+    for (std::size_t r = 0; r < d; ++r) ws.a(i, r) = pr.fresh(r, i);
   }
-  low_rank_update_batch(pr.basis, pr.lambda, pr.history, b, p, ws, out.basis,
-                        out.lambda);
+}
+
+Update run_kernel(const Problem& pr, std::size_t p) {
+  UpdateWorkspace ws;
+  stage_fresh(pr, ws);
+  Matrix vectors;
+  Update out;
+  low_rank_update_batch(pr.basis.transpose(), pr.lambda, pr.history,
+                        pr.fresh.cols(), p, ws, vectors, out.lambda);
+  out.basis = vectors.transpose();
   return out;
 }
 
@@ -290,15 +295,12 @@ TEST(LowRankKernel, AliasedOutputsMatchBatchEntryPoint) {
   const Problem pr = make_problem(5, 64, 6, 3, Edge::kNone);
   const Update ref = run_kernel(pr, 6);
   UpdateWorkspace ws;
-  ws.ensure(64, 9);
-  ws.a.resize_no_shrink(9, 64);
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t r = 0; r < 64; ++r) ws.a(6 + i, r) = pr.fresh(r, i);
-  }
-  Matrix basis = pr.basis;
+  stage_fresh(pr, ws);
+  Matrix vectors = pr.basis.transpose();
   Vector lambda = pr.lambda;
-  low_rank_update_batch(basis, lambda, pr.history, 3, 6, ws, basis, lambda);
-  EXPECT_EQ(basis, ref.basis);
+  low_rank_update_batch(vectors, lambda, pr.history, 3, 6, ws, vectors,
+                        lambda);
+  EXPECT_EQ(vectors.transpose(), ref.basis);
   EXPECT_EQ(lambda, ref.lambda);
 }
 

@@ -25,7 +25,7 @@ TEST(RobustEigenvalues, MatchesClassicalVarianceOnCleanData) {
   // Gaussian-consistent delta so sigma^2 estimates the variance.
   const double delta = rho.gaussian_expectation();
   const linalg::Vector lambda =
-      robust_eigenvalues(data, model.mean, model.basis, rho, delta);
+      robust_eigenvalues(data, model.mean, model.basis.transpose(), rho, delta);
   EXPECT_NEAR(lambda[0], 9.0, 0.6);
   EXPECT_NEAR(lambda[1], 2.25, 0.2);
 }

@@ -76,7 +76,7 @@ TEST(RobustPca, SigmaSatisfiesScaleEquationOnCleanStream) {
     const linalg::Vector x = testing::draw(model, rng);
     const EigenSystem& s = pca.eigensystem();
     const linalg::Vector y = s.center(x);
-    const linalg::Vector c = s.basis().transpose_times(y);
+    const linalg::Vector c = s.project(x);
     double proj = 0.0;
     for (std::size_t k = 0; k < 3; ++k) proj += c[k] * c[k];
     const double r2 = std::max(0.0, y.squared_norm() - proj);

@@ -60,14 +60,14 @@ inline linalg::Vector draw_outlier(const LowRankModel& m, stats::Rng& rng,
   return m.mean + dir * amplitude;
 }
 
-/// Stages y·√weight as the one fresh row of `ws.a` behind k basis rows —
-/// the caller contract of low_rank_update_batch(…, batch = 1, …), which
-/// then blends y yᵀ into the eigensystem with that weight.
+/// Stages y·√weight as the one fresh row (row 0) of `ws.a` — the caller
+/// contract of low_rank_update_batch(…, batch = 1, …), which then blends
+/// y yᵀ into the eigensystem with that weight.
 inline void stage_fresh_row(UpdateWorkspace& ws, const linalg::Vector& y,
-                            double weight, std::size_t k) {
-  ws.a.resize_no_shrink(k + 1, y.size());
+                            double weight) {
+  ws.a.resize_no_shrink(1, y.size());
   const double s = std::sqrt(weight);
-  for (std::size_t r = 0; r < y.size(); ++r) ws.a(k, r) = y[r] * s;
+  for (std::size_t r = 0; r < y.size(); ++r) ws.a(0, r) = y[r] * s;
 }
 
 }  // namespace astro::pca::testing

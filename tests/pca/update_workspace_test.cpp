@@ -1,8 +1,8 @@
 // The update kernel's workspace contract at batch = 1: a recycled
 // workspace gives the same bits as a freshly allocated one, the aliased
-// outputs the engines use (e_out == basis, lambda_out == eigenvalues) equal
-// the non-aliased ones, stale outputs are fully rewritten, and ensure()
-// never shrinks.
+// outputs the engines use (e_out == vectors, lambda_out == eigenvalues)
+// equal the non-aliased ones, stale outputs are fully rewritten, and
+// ensure() never shrinks.
 
 #include "pca/update_workspace.h"
 
@@ -22,7 +22,7 @@ using testing::stage_fresh_row;
 using linalg::Vector;
 
 struct Inputs {
-  Matrix basis;
+  Matrix vectors;  // k x d eigenvector rows
   Vector eigenvalues;
   Vector y;
 };
@@ -30,8 +30,9 @@ struct Inputs {
 Inputs make_setup(std::uint64_t seed, std::size_t d, std::size_t k) {
   Rng rng(seed);
   Inputs s;
-  s.basis = rng.gaussian_matrix(d, k);
-  linalg::orthonormalize_columns(s.basis);
+  Matrix basis = rng.gaussian_matrix(d, k);
+  linalg::orthonormalize_columns(basis);
+  s.vectors = basis.transpose();
   s.eigenvalues = Vector(k);
   for (std::size_t c = 0; c < k; ++c) s.eigenvalues[c] = double(k - c) * 0.7;
   s.y = rng.gaussian_vector(d);
@@ -42,8 +43,8 @@ Inputs make_setup(std::uint64_t seed, std::size_t d, std::size_t k) {
 void update_fresh(const Inputs& s, double gamma, double weight, std::size_t p,
                   Matrix& e_out, Vector& l_out) {
   UpdateWorkspace ws;
-  stage_fresh_row(ws, s.y, weight, s.eigenvalues.size());
-  low_rank_update_batch(s.basis, s.eigenvalues, gamma, 1, p, ws, e_out,
+  stage_fresh_row(ws, s.y, weight);
+  low_rank_update_batch(s.vectors, s.eigenvalues, gamma, 1, p, ws, e_out,
                         l_out);
 }
 
@@ -62,8 +63,8 @@ TEST(LowRankUpdateWorkspace, InPlaceMatchesAllocatingBitForBit) {
 
     Matrix e_new;
     Vector l_new;
-    stage_fresh_row(ws, s.y, 0.1, k);
-    low_rank_update_batch(s.basis, s.eigenvalues, 0.9, 1, k, ws, e_new,
+    stage_fresh_row(ws, s.y, 0.1);
+    low_rank_update_batch(s.vectors, s.eigenvalues, 0.9, 1, k, ws, e_new,
                           l_new);
     EXPECT_EQ(e_new, e_ref) << "seed " << seed;
     EXPECT_EQ(l_new, l_ref) << "seed " << seed;
@@ -71,20 +72,21 @@ TEST(LowRankUpdateWorkspace, InPlaceMatchesAllocatingBitForBit) {
 }
 
 TEST(LowRankUpdateWorkspace, AliasedOutputsMatchNonAliased) {
-  // The engine hot path passes its own basis/eigenvalues as both input and
-  // output; E is copied out before the outputs are written, so this must
-  // equal the non-aliased result exactly.
+  // The engine hot path passes its own eigenvectors/eigenvalues as both
+  // input and output; the rotation loads every input of a column block
+  // before it stores that block, so this must equal the non-aliased result
+  // exactly.
   const Inputs s = make_setup(42, 30, 5);
   Matrix e_ref;
   Vector l_ref;
   update_fresh(s, 0.95, 0.05, 5, e_ref, l_ref);
 
   UpdateWorkspace ws;
-  Matrix basis = s.basis;
+  Matrix vectors = s.vectors;
   Vector lambda = s.eigenvalues;
-  stage_fresh_row(ws, s.y, 0.05, 5);
-  low_rank_update_batch(basis, lambda, 0.95, 1, 5, ws, basis, lambda);
-  EXPECT_EQ(basis, e_ref);
+  stage_fresh_row(ws, s.y, 0.05);
+  low_rank_update_batch(vectors, lambda, 0.95, 1, 5, ws, vectors, lambda);
+  EXPECT_EQ(vectors, e_ref);
   EXPECT_EQ(lambda, l_ref);
 }
 
@@ -93,12 +95,13 @@ TEST(LowRankUpdateWorkspace, RankLargerThanColumnsZeroFillsTail) {
   // preallocated outputs hold stale values from a previous call.
   const Inputs s = make_setup(7, 20, 2);
   UpdateWorkspace ws;
-  Matrix e_out(20, 6);
+  Matrix e_out(6, 20);
   Vector l_out(6);
   e_out.fill(123.0);
   l_out.fill(456.0);
-  stage_fresh_row(ws, s.y, 0.1, 2);
-  low_rank_update_batch(s.basis, s.eigenvalues, 0.9, 1, 6, ws, e_out, l_out);
+  stage_fresh_row(ws, s.y, 0.1);
+  low_rank_update_batch(s.vectors, s.eigenvalues, 0.9, 1, 6, ws, e_out,
+                        l_out);
 
   Matrix e_ref;
   Vector l_ref;
@@ -107,7 +110,7 @@ TEST(LowRankUpdateWorkspace, RankLargerThanColumnsZeroFillsTail) {
   EXPECT_EQ(l_out, l_ref);
   for (std::size_t c = 3; c < 6; ++c) {
     EXPECT_EQ(l_out[c], 0.0);
-    for (std::size_t r = 0; r < 20; ++r) EXPECT_EQ(e_out(r, c), 0.0);
+    for (std::size_t r = 0; r < 20; ++r) EXPECT_EQ(e_out(c, r), 0.0);
   }
 }
 

@@ -219,18 +219,11 @@ TEST(AllocCount, WriteIntoKernelsAreAllocationFreeWhenWarm) {
   stats::Rng rng(505);
   const Matrix a = rng.gaussian_matrix(32, 8);
   const Matrix b = rng.gaussian_matrix(8, 8);
-  const Vector v = rng.gaussian_vector(32);
   Matrix mout;
-  Matrix gout;
-  Vector vout;
-  a.multiply_into(b, mout);  // warm all three destinations
-  a.gram_into(gout);
-  a.transpose_times_into(v, vout);
+  a.multiply_into(b, mout);  // warm the destination
 
   perf::AllocWindow window;
   a.multiply_into(b, mout);
-  a.gram_into(gout);
-  a.transpose_times_into(v, vout);
   const std::uint64_t allocs = window.allocations();
 
   EXPECT_EQ(allocs, 0u) << "warm write-into kernels allocated";
@@ -267,7 +260,7 @@ TEST(AllocCount, ValidateAcceptPathIsAllocationFree) {
 
 TEST(AllocCount, HealthCheckIsAllocationFreeWhenWarm) {
   // The watchdog runs on a tuple-count cadence inside the engine's state
-  // lock; a warm workspace must keep it off the allocator.
+  // lock; it must stay off the allocator.
   pca::IncrementalPcaConfig cfg;
   cfg.dim = kDim;
   cfg.rank = kRank;
@@ -276,14 +269,13 @@ TEST(AllocCount, HealthCheckIsAllocationFreeWhenWarm) {
   for (const auto& x : data) engine.observe(x);
   ASSERT_TRUE(engine.initialized());
 
-  pca::HealthWorkspace ws;
   pca::HealthThresholds thresholds;
-  ASSERT_TRUE(pca::check_health(engine.eigensystem(), thresholds, ws).ok());
+  ASSERT_TRUE(pca::check_health(engine.eigensystem(), thresholds).ok());
 
   perf::AllocWindow window;
   bool ok = true;
   for (int i = 0; i < 100; ++i) {
-    ok = ok && pca::check_health(engine.eigensystem(), thresholds, ws).ok();
+    ok = ok && pca::check_health(engine.eigensystem(), thresholds).ok();
     ok = ok && pca::all_finite(engine.eigensystem());
   }
   const std::uint64_t allocs = window.allocations();

@@ -33,15 +33,13 @@ EigenSystem trained_system(std::uint64_t seed = 303) {
 
 TEST(Health, UninitializedSystemIsHealthy) {
   EigenSystem empty;
-  HealthWorkspace ws;
-  EXPECT_TRUE(check_health(empty, HealthThresholds{}, ws).ok());
+  EXPECT_TRUE(check_health(empty, HealthThresholds{}).ok());
   EXPECT_TRUE(all_finite(empty));
 }
 
 TEST(Health, TrainedSystemPassesWithMargin) {
   const EigenSystem sys = trained_system();
-  HealthWorkspace ws;
-  const HealthReport r = check_health(sys, HealthThresholds{}, ws);
+  const HealthReport r = check_health(sys, HealthThresholds{});
   EXPECT_TRUE(r.ok()) << to_string(r.fault);
   EXPECT_LT(r.basis_drift, 1e-8);  // freshly orthonormalized
   EXPECT_GT(r.total_energy, 0.0);
@@ -51,17 +49,15 @@ TEST(Health, TrainedSystemPassesWithMargin) {
 TEST(Health, NanInMeanIsNonFinite) {
   EigenSystem sys = trained_system();
   sys.mutable_mean()[3] = std::nan("");
-  HealthWorkspace ws;
-  EXPECT_EQ(check_health(sys, HealthThresholds{}, ws).fault,
+  EXPECT_EQ(check_health(sys, HealthThresholds{}).fault,
             HealthFault::kNonFinite);
   EXPECT_FALSE(all_finite(sys));
 }
 
 TEST(Health, InfInBasisIsNonFinite) {
   EigenSystem sys = trained_system();
-  sys.mutable_basis()(2, 1) = std::numeric_limits<double>::infinity();
-  HealthWorkspace ws;
-  EXPECT_EQ(check_health(sys, HealthThresholds{}, ws).fault,
+  sys.mutable_vectors()(1, 2) = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(check_health(sys, HealthThresholds{}).fault,
             HealthFault::kNonFinite);
   EXPECT_FALSE(all_finite(sys));
 }
@@ -69,8 +65,7 @@ TEST(Health, InfInBasisIsNonFinite) {
 TEST(Health, NanEigenvalueIsNonFinite) {
   EigenSystem sys = trained_system();
   sys.mutable_eigenvalues()[0] = std::nan("");
-  HealthWorkspace ws;
-  EXPECT_EQ(check_health(sys, HealthThresholds{}, ws).fault,
+  EXPECT_EQ(check_health(sys, HealthThresholds{}).fault,
             HealthFault::kNonFinite);
 }
 
@@ -78,16 +73,14 @@ TEST(Health, NanSigmaIsNonFinite) {
   EigenSystem sys = trained_system();
   sys.set_sigma2(std::nan(""));
   EXPECT_FALSE(all_finite(sys));
-  HealthWorkspace ws;
-  EXPECT_EQ(check_health(sys, HealthThresholds{}, ws).fault,
+  EXPECT_EQ(check_health(sys, HealthThresholds{}).fault,
             HealthFault::kNonFinite);
 }
 
 TEST(Health, NegativeEigenvalueBeyondToleranceTrips) {
   EigenSystem sys = trained_system();
   sys.mutable_eigenvalues()[sys.rank() - 1] = -1.0;
-  HealthWorkspace ws;
-  EXPECT_EQ(check_health(sys, HealthThresholds{}, ws).fault,
+  EXPECT_EQ(check_health(sys, HealthThresholds{}).fault,
             HealthFault::kNegativeEigenvalue);
 }
 
@@ -97,17 +90,15 @@ TEST(Health, TinyNegativeEigenvalueWithinToleranceIsHealthy) {
   EigenSystem sys = trained_system();
   sys.mutable_eigenvalues()[sys.rank() - 1] =
       -1e-12 * (1.0 + sys.eigenvalues()[0]);
-  HealthWorkspace ws;
-  EXPECT_TRUE(check_health(sys, HealthThresholds{}, ws).ok());
+  EXPECT_TRUE(check_health(sys, HealthThresholds{}).ok());
 }
 
 TEST(Health, DegenerateBasisTripsDriftCheck) {
   EigenSystem sys = trained_system();
   for (std::size_t r = 0; r < sys.dim(); ++r) {
-    sys.mutable_basis()(r, 0) *= 2.0;  // column no longer unit norm
+    sys.mutable_vectors()(0, r) *= 2.0;  // no longer unit norm
   }
-  HealthWorkspace ws;
-  const HealthReport rep = check_health(sys, HealthThresholds{}, ws);
+  const HealthReport rep = check_health(sys, HealthThresholds{});
   EXPECT_EQ(rep.fault, HealthFault::kBasisDrift);
   EXPECT_GT(rep.basis_drift, 1.0);
   EXPECT_TRUE(all_finite(sys));  // drift is not a finiteness defect
@@ -118,10 +109,9 @@ TEST(Health, EnergyExplosionTripsAbsoluteCeiling) {
   sys.mutable_eigenvalues()[0] = 1e13;
   HealthThresholds t;
   t.max_total_energy = 1e12;
-  HealthWorkspace ws;
-  EXPECT_EQ(check_health(sys, t, ws).fault, HealthFault::kEnergyExplosion);
+  EXPECT_EQ(check_health(sys, t).fault, HealthFault::kEnergyExplosion);
   t.max_total_energy = 0.0;  // 0 disables the ceiling
-  EXPECT_TRUE(check_health(sys, t, ws).ok());
+  EXPECT_TRUE(check_health(sys, t).ok());
 }
 
 TEST(Health, ZeroEnergyOnInitializedSystemIsCollapse) {
@@ -129,18 +119,16 @@ TEST(Health, ZeroEnergyOnInitializedSystemIsCollapse) {
   for (std::size_t i = 0; i < sys.rank(); ++i) {
     sys.mutable_eigenvalues()[i] = 0.0;
   }
-  HealthWorkspace ws;
-  EXPECT_EQ(check_health(sys, HealthThresholds{}, ws).fault,
+  EXPECT_EQ(check_health(sys, HealthThresholds{}).fault,
             HealthFault::kEnergyCollapse);
 }
 
 TEST(Health, WorkspaceIsReusableAcrossChecks) {
   const EigenSystem a = trained_system(303);
   const EigenSystem b = trained_system(404);
-  HealthWorkspace ws;
-  EXPECT_TRUE(check_health(a, HealthThresholds{}, ws).ok());
-  EXPECT_TRUE(check_health(b, HealthThresholds{}, ws).ok());
-  EXPECT_TRUE(check_health(a, HealthThresholds{}, ws).ok());
+  EXPECT_TRUE(check_health(a, HealthThresholds{}).ok());
+  EXPECT_TRUE(check_health(b, HealthThresholds{}).ok());
+  EXPECT_TRUE(check_health(a, HealthThresholds{}).ok());
 }
 
 TEST(Health, FaultNamesAreStable) {

@@ -45,8 +45,8 @@ pca::EigenSystem make_versioned_system(std::uint64_t v) {
   const std::size_t p = rank_of(v);
   pca::EigenSystem sys(kDim, p, 1.0);
   for (std::size_t r = 0; r < kDim; ++r) sys.mutable_mean()[r] = mean_of(v);
-  sys.mutable_basis().fill(0.0);
-  for (std::size_t i = 0; i < p; ++i) sys.mutable_basis()(i, i) = 1.0;
+  sys.mutable_vectors().fill(0.0);
+  for (std::size_t i = 0; i < p; ++i) sys.mutable_vectors()(i, i) = 1.0;
   for (std::size_t i = 0; i < p; ++i) {
     sys.mutable_eigenvalues()[i] = eigenvalue_of(v, i);
   }

@@ -153,7 +153,7 @@ TEST(ServeFault, OverloadRejectsImmediatelyWhileWriterPublishes) {
   raw = &server;
 
   pca::EigenSystem sys(8, 2, 1.0);
-  for (std::size_t i = 0; i < 2; ++i) sys.mutable_basis()(i, i) = 1.0;
+  for (std::size_t i = 0; i < 2; ++i) sys.mutable_vectors()(i, i) = 1.0;
   sys.set_observations(10);
   server.publish(sys, 0, 1);
 
@@ -164,7 +164,7 @@ TEST(ServeFault, OverloadRejectsImmediatelyWhileWriterPublishes) {
     std::uint64_t t = 2;
     while (!stop.load(std::memory_order_acquire)) {
       pca::EigenSystem s(8, 2, 1.0);
-      for (std::size_t i = 0; i < 2; ++i) s.mutable_basis()(i, i) = 1.0;
+      for (std::size_t i = 0; i < 2; ++i) s.mutable_vectors()(i, i) = 1.0;
       s.set_observations(t);
       raw->publish(std::move(s), 0, std::int64_t(t++));
     }

@@ -145,7 +145,7 @@ TEST(Generator, NextCleanFluxHasNoGapsOrOutliers) {
   const linalg::Vector flux = gen.next_clean_flux();
   // Clean flux is near the manifold: residual against the true basis small.
   linalg::Vector y = flux - gen.mean_spectrum();
-  const linalg::Vector c = gen.true_basis().transpose_times(y);
+  const linalg::Vector c = gen.true_basis().transpose() * y;
   double r2 = y.squared_norm() - c.squared_norm();
   EXPECT_LT(std::sqrt(std::max(0.0, r2)),
             3.0 * cfg.noise * std::sqrt(double(cfg.pixels)));
